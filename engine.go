@@ -312,9 +312,6 @@ func (e Engine) WithStore(st *Store) *Engine {
 	return &e
 }
 
-// defaultEngine backs the package-level legacy wrappers.
-var defaultEngine Engine
-
 // Run validates and executes one scenario synchronously. It returns
 // ctx.Err() without running if the context is already cancelled; a started
 // simulation always runs to completion (cancellation is checked between

@@ -28,10 +28,8 @@ func TestGoldenWiFiBatch(t *testing.T) {
 		"STB": {8308 * time.Microsecond, 83, 40},
 	}
 	for algo, w := range want {
-		res, err := RunWiFiBatch(30, algo, WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, Scenario{Model: WiFi(), Algorithm: MustAlgorithm(algo), N: 30,
+			Options: []Option{WithSeed(42)}}).Batch
 		if res.TotalTime != w.total || res.CWSlots != w.cwSlots || res.Collisions != w.collisions {
 			t.Errorf("%s: got (total %v, cw %d, coll %d), want (%v, %d, %d)",
 				algo, res.TotalTime, res.CWSlots, res.Collisions, w.total, w.cwSlots, w.collisions)
@@ -47,10 +45,8 @@ func TestGoldenAbstractBatch(t *testing.T) {
 		"STB": {111, 53},
 	}
 	for algo, w := range want {
-		res, err := RunAbstractBatch(30, algo, WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, Scenario{Model: Abstract(), Algorithm: MustAlgorithm(algo), N: 30,
+			Options: []Option{WithSeed(42)}}).Batch
 		if res.CWSlots != w.cwSlots || res.Collisions != w.collisions {
 			t.Errorf("%s: got (cw %d, coll %d), want (%d, %d)",
 				algo, res.CWSlots, res.Collisions, w.cwSlots, w.collisions)
@@ -59,10 +55,8 @@ func TestGoldenAbstractBatch(t *testing.T) {
 }
 
 func TestGoldenBestOfK(t *testing.T) {
-	res, err := RunBestOfK(30, 3, WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Scenario{Model: WiFi(), N: 30, Workload: BestOfKWorkload{K: 3},
+		Options: []Option{WithSeed(42)}}).BestOfK
 	if res.TotalTime != 6582*time.Microsecond || res.MedianEstimate != 32 {
 		t.Errorf("best-of-3: got (total %v, est %d), want (6.582ms, 32)",
 			res.TotalTime, res.MedianEstimate)

@@ -169,8 +169,3 @@ func betaCF(a, b, x float64) float64 {
 	}
 	return h
 }
-
-// NormalCDF returns the standard normal CDF via math.Erf.
-func NormalCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
-}

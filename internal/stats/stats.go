@@ -192,25 +192,3 @@ func PercentChange(a, b float64) float64 {
 
 // ErrShortSample is returned by procedures that need more data points.
 var ErrShortSample = errors.New("stats: sample too small")
-
-// BootstrapMedianCI estimates a confidence interval for the median by
-// percentile bootstrap with the given number of resamples. next must return
-// uniform float64 in [0,1); pass a deterministic generator for reproducible
-// intervals.
-func BootstrapMedianCI(xs []float64, conf float64, resamples int, next func() float64) (lo, hi float64, err error) {
-	if len(xs) < 2 {
-		return 0, 0, ErrShortSample
-	}
-	meds := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for i := 0; i < resamples; i++ {
-		for j := range buf {
-			buf[j] = xs[int(next()*float64(len(xs)))]
-		}
-		sort.Float64s(buf)
-		meds[i] = quantileSorted(buf, 0.5)
-	}
-	sort.Float64s(meds)
-	alpha := (1 - conf) / 2
-	return quantileSorted(meds, alpha), quantileSorted(meds, 1-alpha), nil
-}

@@ -272,36 +272,6 @@ func TestStudentTCDFKnownQuantiles(t *testing.T) {
 	approx(t, StudentTCDF(1.96, 1000), 0.975, 2e-3, "t ~ normal for large df")
 }
 
-func TestNormalCDF(t *testing.T) {
-	approx(t, NormalCDF(0), 0.5, 1e-12, "Phi(0)")
-	approx(t, NormalCDF(1.959964), 0.975, 1e-5, "Phi(1.96)")
-	approx(t, NormalCDF(-1.959964), 0.025, 1e-5, "Phi(-1.96)")
-}
-
-func TestBootstrapMedianCI(t *testing.T) {
-	r := rng.New(31)
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = 50 + r.NormFloat64()*5
-	}
-	lo, hi, err := BootstrapMedianCI(xs, 0.95, 2000, r.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 50 || hi < 50 {
-		t.Fatalf("bootstrap CI [%v, %v] misses true median 50", lo, hi)
-	}
-	if hi-lo > 5 {
-		t.Fatalf("bootstrap CI [%v, %v] implausibly wide", lo, hi)
-	}
-}
-
-func TestBootstrapMedianCIShort(t *testing.T) {
-	if _, _, err := BootstrapMedianCI([]float64{1}, 0.95, 100, func() float64 { return 0 }); err == nil {
-		t.Fatal("expected ErrShortSample")
-	}
-}
-
 func TestQuantileSortedAgreesWithSortedInput(t *testing.T) {
 	r := rng.New(41)
 	err := quick.Check(func(nRaw uint8) bool {

@@ -1,20 +1,17 @@
 package repro
 
-// Report is the output of the aggregation pipeline; sinks render it. Three
-// sinks ship: CSVSink (one row per scenario, stable column order), JSONLSink
-// (one JSON object per line, metrics as an ordered array so output is
-// byte-deterministic), and TableSink (the ASCII figure renderer the paper
-// harness uses, grouping scenarios into series over an x-axis).
+// Report is the output of the aggregation pipeline; sinks render it. Two
+// sinks ship: CSVSink (one row per scenario, stable column order) and
+// JSONLSink (one JSON object per line, metrics as an ordered array so output
+// is byte-deterministic). The paper's ASCII figure tables are rendered by
+// internal/experiments, which converts reports into harness series.
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
-
-	"repro/internal/harness"
 )
 
 // Report holds one aggregated sweep: per-scenario rows of per-metric
@@ -156,80 +153,6 @@ func (s JSONLSink) Emit(r *Report) error {
 		if err := enc.Encode(jr); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// --- ASCII table ------------------------------------------------------------
-
-// TableSink renders one metric of the report through the ASCII table
-// renderer the figure harness uses: rows grouped into named series, one
-// point per scenario, medians with their CIs. The zero-value accessors
-// group by algorithm over the batch size — the shape of every paper figure.
-type TableSink struct {
-	W io.Writer
-	// ID, Title, XLabel, YLabel annotate the rendered table.
-	ID, Title, XLabel, YLabel string
-	// Metric names the report column to render; empty means the first.
-	Metric string
-	// X maps a row to its x-coordinate; nil means the scenario's N.
-	X func(Row) float64
-	// Series maps a row to its series name; nil means the scenario's
-	// algorithm (or its workload name when no algorithm applies).
-	Series func(Row) string
-	// Plot additionally renders the ASCII scatter under the table.
-	Plot bool
-}
-
-// seriesName is TableSink's default row → series mapping.
-func seriesName(r Row) string {
-	if a := r.Scenario.Algorithm.String(); a != "" {
-		return a
-	}
-	if r.Scenario.Workload != nil {
-		return r.Scenario.Workload.workloadName()
-	}
-	return r.Label
-}
-
-// Emit renders the chosen metric as an aligned table (and optional plot).
-func (s TableSink) Emit(r *Report) error {
-	metric := s.Metric
-	if metric == "" && len(r.Metrics) > 0 {
-		metric = r.Metrics[0]
-	}
-	xOf, nameOf := s.X, s.Series
-	if xOf == nil {
-		xOf = func(row Row) float64 { return float64(row.Scenario.N) }
-	}
-	if nameOf == nil {
-		nameOf = seriesName
-	}
-	tab := harness.Table{ID: s.ID, Title: s.Title, XLabel: s.XLabel, YLabel: s.YLabel}
-	if tab.XLabel == "" {
-		tab.XLabel = "n"
-	}
-	for _, row := range r.Rows {
-		p, ok := row.Summary(r, metric)
-		if !ok {
-			return fmt.Errorf("repro: report has no metric %q (have %v)", metric, r.Metrics)
-		}
-		name := nameOf(row)
-		series := tab.SeriesByName(name)
-		if series == nil {
-			tab.Series = append(tab.Series, harness.Series{Name: name})
-			series = &tab.Series[len(tab.Series)-1]
-		}
-		series.Points = append(series.Points, harness.Point{
-			X: xOf(row), Median: p.Median, Lo: p.CI95Lo, Hi: p.CI95Hi,
-			Mean: p.Mean, Trials: p.Trials, Removed: p.Outliers,
-		})
-	}
-	if err := tab.WriteTable(s.W); err != nil {
-		return err
-	}
-	if s.Plot {
-		return tab.WritePlot(s.W, 78, 16)
 	}
 	return nil
 }

@@ -120,23 +120,3 @@ func TestJSONLSinkNaN(t *testing.T) {
 		t.Fatalf("scenario label missing: %s", lines[0])
 	}
 }
-
-// TestTableSink renders the wifi half of the grid as an ASCII table grouped
-// by algorithm — the existing figure renderer behind a public sink.
-func TestTableSink(t *testing.T) {
-	rep := goldenReport(t)
-	var buf bytes.Buffer
-	sink := TableSink{W: &buf, ID: "demo", Title: "CW slots", XLabel: "n", YLabel: "slots"}
-	if err := sink.Emit(rep); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"DEMO", "CW slots", "BEB"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
-		}
-	}
-	if err := (TableSink{W: &buf, Metric: "nope"}).Emit(rep); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-}

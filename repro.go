@@ -46,17 +46,11 @@
 //	rep2, _ := eng.WithStore(st).Aggregate(ctx, scenarios, repro.Seeds(1, 30),
 //		repro.MakespanSlots(), repro.TotalTime()) // bit-identical, zero simulations
 //
-// The legacy string-keyed entry points (RunWiFiBatch, RunAbstractBatch,
-// RunBestOfK, RunTreeBatch, RunContinuousTraffic) remain as thin wrappers
-// over the Scenario path and produce bit-identical results.
-//
 // See DESIGN.md for the system layering and EXPERIMENTS.md for the
 // reproduced figures.
 package repro
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/backoff"
@@ -64,14 +58,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/rng"
 	"repro/internal/trace"
-)
-
-// Algorithm names accepted by the legacy Run functions and ParseAlgorithm.
-const (
-	BEB = "BEB" // binary exponential backoff (the deployed baseline)
-	LB  = "LB"  // LOG-BACKOFF, Θ(n·log n / log log n) CW slots
-	LLB = "LLB" // LOGLOG-BACKOFF, Θ(n·log log n / log log log n) CW slots
-	STB = "STB" // SAWTOOTH-BACKOFF, Θ(n) CW slots (optimal)
 )
 
 // Algorithms returns the four paper algorithms' names in presentation
@@ -140,8 +126,7 @@ func (o options) stream(label string) *rng.Source {
 	return rng.New(rng.DeriveSeed(o.seed, label))
 }
 
-// Option configures a run, both through Scenario.Options and the legacy
-// Run functions.
+// Option configures a run through Scenario.Options.
 type Option func(*options)
 
 // WithSeed fixes the random seed; runs are deterministic given (scenario,
@@ -165,9 +150,9 @@ func WithPayload(bytes int) Option { return func(o *options) { o.payload = bytes
 func WithRTSCTS() Option { return func(o *options) { o.rtscts = true } }
 
 // WithTrace records per-station MAC events into rec for timeline rendering
-// (wifi model only). Traced scenarios run through Engine.Run or the legacy
-// Run* wrappers; Engine.Sweep and Engine.RunMany reject them, since
-// concurrent cells would race on the recorder.
+// (wifi model only). Traced scenarios run through Engine.Run; Engine.Sweep
+// and Engine.RunMany reject them, since concurrent cells would race on the
+// recorder.
 func WithTrace(rec *trace.Recorder) Option { return func(o *options) { o.tracer = rec } }
 
 // MACConfig aliases the full 802.11g DCF parameter set (Table I defaults)
@@ -198,49 +183,6 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// --- Legacy entry points ----------------------------------------------------
-//
-// The original string-keyed API, kept as thin wrappers over the Scenario
-// path. Each builds the equivalent Scenario and runs it on the default
-// Engine; results are bit-identical to the pre-Scenario implementation for
-// identical seeds (CHANGES.md has the full migration table).
-
-// RunAbstractBatch simulates one batch of n packets under the abstract
-// slotted model (A0–A2). Payload, RTS/CTS and trace options do not apply.
-//
-// Equivalent to Engine.Run of Scenario{Model: Abstract(), Algorithm:
-// ParseAlgorithm(algorithm), N: n, Options: opts}.
-func RunAbstractBatch(n int, algorithm string, opts ...Option) (BatchResult, error) {
-	res, err := defaultEngine.Run(context.Background(), Scenario{
-		Model:     Abstract(),
-		Algorithm: Algorithm{spec: algorithm},
-		N:         n,
-		Options:   opts,
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return *res.Batch, nil
-}
-
-// RunWiFiBatch simulates one batch of n stations under the IEEE 802.11g DCF
-// model with the paper's Table I parameters.
-//
-// Equivalent to Engine.Run of Scenario{Model: WiFi(), Algorithm:
-// ParseAlgorithm(algorithm), N: n, Options: opts}.
-func RunWiFiBatch(n int, algorithm string, opts ...Option) (BatchResult, error) {
-	res, err := defaultEngine.Run(context.Background(), Scenario{
-		Model:     WiFi(),
-		Algorithm: Algorithm{spec: algorithm},
-		N:         n,
-		Options:   opts,
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return *res.Batch, nil
-}
-
 // BestOfKResult reports a size-estimation run (paper Section VI).
 type BestOfKResult struct {
 	BatchResult
@@ -248,25 +190,4 @@ type BestOfKResult struct {
 	MedianEstimate int
 	// EstimationTime is the fixed cost of the probing phase.
 	EstimationTime time.Duration
-}
-
-// RunBestOfK simulates BEST-OF-k followed by fixed backoff on the wifi
-// model (k = 3 and 5 in the paper).
-//
-// Equivalent to Engine.Run of Scenario{Model: WiFi(), N: n, Workload:
-// BestOfKWorkload{K: k}, Options: opts}.
-func RunBestOfK(n, k int, opts ...Option) (BestOfKResult, error) {
-	if n < 1 || k < 1 {
-		return BestOfKResult{}, fmt.Errorf("repro: need n >= 1 and k >= 1 (got n=%d k=%d)", n, k)
-	}
-	res, err := defaultEngine.Run(context.Background(), Scenario{
-		Model:    WiFi(),
-		N:        n,
-		Workload: BestOfKWorkload{K: k},
-		Options:  opts,
-	})
-	if err != nil {
-		return BestOfKResult{}, err
-	}
-	return *res.BestOfK, nil
 }

@@ -7,12 +7,31 @@ import (
 	"repro/internal/trace"
 )
 
-func TestRunAbstractBatch(t *testing.T) {
-	res, err := RunAbstractBatch(50, BEB, WithSeed(1))
+// mustRun executes s on a zero Engine and fails the test on error.
+func mustRun(t testing.TB, s Scenario) Result {
+	t.Helper()
+	var eng Engine
+	res, err := eng.Run(t.Context(), s)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", s, err)
 	}
-	if res.Model != "abstract" || res.Algorithm != BEB || res.N != 50 {
+	return res
+}
+
+// mustReject fails the test for every scenario that a zero Engine accepts.
+func mustReject(t *testing.T, cases map[string]Scenario) {
+	t.Helper()
+	var eng Engine
+	for name, s := range cases {
+		if _, err := eng.Run(t.Context(), s); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+func TestRunAbstractBatch(t *testing.T) {
+	res := mustRun(t, Scenario{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 50, Options: []Option{WithSeed(1)}}).Batch
+	if res.Model != "abstract" || res.Algorithm != "BEB" || res.N != 50 {
 		t.Fatalf("metadata: %+v", res)
 	}
 	if res.CWSlots < 50 {
@@ -24,10 +43,7 @@ func TestRunAbstractBatch(t *testing.T) {
 }
 
 func TestRunWiFiBatch(t *testing.T) {
-	res, err := RunWiFiBatch(30, STB, WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("STB"), N: 30, Options: []Option{WithSeed(2)}}).Batch
 	if res.TotalTime <= 0 || res.HalfTime <= 0 || res.HalfTime > res.TotalTime {
 		t.Fatalf("times: %+v", res)
 	}
@@ -37,51 +53,44 @@ func TestRunWiFiBatch(t *testing.T) {
 }
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
-	if _, err := RunAbstractBatch(10, "WAT"); err == nil {
-		t.Fatal("abstract accepted unknown algorithm")
-	}
-	if _, err := RunWiFiBatch(10, "WAT"); err == nil {
-		t.Fatal("wifi accepted unknown algorithm")
-	}
+	mustReject(t, map[string]Scenario{
+		"abstract": {Model: Abstract(), Algorithm: Algorithm{spec: "WAT"}, N: 10},
+		"wifi":     {Model: WiFi(), Algorithm: Algorithm{spec: "WAT"}, N: 10},
+	})
 }
 
 func TestBadNRejected(t *testing.T) {
-	if _, err := RunAbstractBatch(0, BEB); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := RunWiFiBatch(-1, BEB); err == nil {
-		t.Fatal("n=-1 accepted")
-	}
-	if _, err := RunBestOfK(0, 3); err == nil {
-		t.Fatal("best-of-k n=0 accepted")
-	}
+	mustReject(t, map[string]Scenario{
+		"abstract n=0":  {Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 0},
+		"wifi n=-1":     {Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: -1},
+		"best-of-k n=0": {Model: WiFi(), N: 0, Workload: BestOfKWorkload{K: 3}},
+	})
 }
 
 func TestDeterminismAcrossCalls(t *testing.T) {
-	a, _ := RunWiFiBatch(20, LLB, WithSeed(7))
-	b, _ := RunWiFiBatch(20, LLB, WithSeed(7))
+	s := Scenario{Model: WiFi(), Algorithm: MustAlgorithm("LLB"), N: 20}
+	a := mustRun(t, s.WithOptions(WithSeed(7))).Batch
+	b := mustRun(t, s.WithOptions(WithSeed(7))).Batch
 	if a.TotalTime != b.TotalTime || a.CWSlots != b.CWSlots {
 		t.Fatal("same options diverged")
 	}
-	c, _ := RunWiFiBatch(20, LLB, WithSeed(8))
+	c := mustRun(t, s.WithOptions(WithSeed(8))).Batch
 	if a.TotalTime == c.TotalTime && a.CWSlots == c.CWSlots && a.Collisions == c.Collisions {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
 
 func TestPayloadOption(t *testing.T) {
-	small, _ := RunWiFiBatch(15, BEB, WithSeed(3), WithPayload(64))
-	large, _ := RunWiFiBatch(15, BEB, WithSeed(3), WithPayload(1024))
+	s := Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 15, Options: []Option{WithSeed(3)}}
+	small := mustRun(t, s.WithOptions(WithPayload(64))).Batch
+	large := mustRun(t, s.WithOptions(WithPayload(1024))).Batch
 	if large.TotalTime <= small.TotalTime {
 		t.Fatalf("1024B (%v) not slower than 64B (%v)", large.TotalTime, small.TotalTime)
 	}
 }
 
 func TestRTSCTSOption(t *testing.T) {
-	res, err := RunWiFiBatch(10, BEB, WithSeed(4), WithRTSCTS())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 10, Options: []Option{WithSeed(4), WithRTSCTS()}}).Batch
 	if res.TotalTime <= 0 {
 		t.Fatal("RTS/CTS run failed")
 	}
@@ -89,32 +98,26 @@ func TestRTSCTSOption(t *testing.T) {
 
 func TestTraceOption(t *testing.T) {
 	rec := &trace.Recorder{}
-	if _, err := RunWiFiBatch(5, BEB, WithSeed(5), WithTrace(rec)); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 5, Options: []Option{WithSeed(5), WithTrace(rec)}})
 	if len(rec.Events) == 0 {
 		t.Fatal("trace recorder captured nothing")
 	}
 }
 
 func TestWithConfigTweak(t *testing.T) {
-	slow, err := RunWiFiBatch(10, BEB, WithSeed(6), WithConfig(func(c *MACConfig) {
+	s := Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 10, Options: []Option{WithSeed(6)}}
+	slow := mustRun(t, s.WithOptions(WithConfig(func(c *MACConfig) {
 		c.AckTimeout = 400 * time.Microsecond
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, _ := RunWiFiBatch(10, BEB, WithSeed(6))
+	}))).Batch
+	fast := mustRun(t, s).Batch
 	if slow.Collisions > 0 && slow.TotalTime <= fast.TotalTime {
 		t.Fatalf("longer ACK timeout (%v) not slower than default (%v)", slow.TotalTime, fast.TotalTime)
 	}
 }
 
 func TestRunBestOfK(t *testing.T) {
-	res, err := RunBestOfK(40, 5, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Scenario{Model: WiFi(), N: 40, Workload: BestOfKWorkload{K: 5},
+		Options: []Option{WithSeed(9)}}).BestOfK
 	if res.MedianEstimate < 40 {
 		t.Fatalf("median estimate %d underestimates n=40", res.MedianEstimate)
 	}
@@ -124,17 +127,14 @@ func TestRunBestOfK(t *testing.T) {
 }
 
 func TestFixedAndPolyAlgorithms(t *testing.T) {
-	if _, err := RunAbstractBatch(20, "FIXED:64", WithSeed(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunAbstractBatch(20, "POLY:2", WithSeed(10)); err != nil {
-		t.Fatal(err)
+	for _, spec := range []string{"FIXED:64", "POLY:2"} {
+		mustRun(t, Scenario{Model: Abstract(), Algorithm: MustAlgorithm(spec), N: 20, Options: []Option{WithSeed(10)}})
 	}
 }
 
 func TestAlgorithmsList(t *testing.T) {
 	got := Algorithms()
-	want := []string{BEB, LB, LLB, STB}
+	want := []string{"BEB", "LB", "LLB", "STB"}
 	if len(got) != len(want) {
 		t.Fatalf("Algorithms() = %v", got)
 	}

@@ -163,8 +163,8 @@ type Scenario struct {
 	N int
 	// Workload is what the stations do; nil means SingleBatch.
 	Workload Workload
-	// Options carries the run options shared with the legacy API: WithSeed,
-	// WithPayload, WithRTSCTS, WithTrace, WithConfig.
+	// Options carries the run options: WithSeed, WithPayload, WithRTSCTS,
+	// WithTrace, WithConfig.
 	Options []Option
 }
 

@@ -129,8 +129,7 @@ func TestScenarioWithOptionsDoesNotMutate(t *testing.T) {
 	// Appending to the copy must not leak into a sibling copy's backing array.
 	a := base.WithOptions(WithSeed(1))
 	b := base.WithOptions(WithSeed(2))
-	ra, _ := defaultEngine.Run(t.Context(), a)
-	rb, _ := defaultEngine.Run(t.Context(), b)
+	ra, rb := mustRun(t, a), mustRun(t, b)
 	if ra.Batch.TotalTime == rb.Batch.TotalTime && ra.Batch.CWSlots == rb.Batch.CWSlots {
 		t.Error("sibling WithOptions copies shared a seed")
 	}

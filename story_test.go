@@ -29,6 +29,9 @@ func TestPaperStory(t *testing.T) {
 		t.Skip("full-narrative integration test")
 	}
 	const n, trials = 100, 9
+	batch := func(m Model, algo string) Scenario {
+		return Scenario{Model: m, Algorithm: MustAlgorithm(algo), N: n}
+	}
 
 	type agg struct{ cwAbstract, cwWifi, total, collisions float64 }
 	res := map[string]agg{}
@@ -36,32 +39,16 @@ func TestPaperStory(t *testing.T) {
 		algo := algo
 		res[algo] = agg{
 			cwAbstract: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunAbstractBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return float64(r.CWSlots)
+				return float64(mustRun(t, batch(Abstract(), algo).WithOptions(WithSeed(seed))).Batch.CWSlots)
 			}),
 			cwWifi: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunWiFiBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return float64(r.CWSlots)
+				return float64(mustRun(t, batch(WiFi(), algo).WithOptions(WithSeed(seed))).Batch.CWSlots)
 			}),
 			total: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunWiFiBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return float64(r.TotalTime)
+				return float64(mustRun(t, batch(WiFi(), algo).WithOptions(WithSeed(seed))).Batch.TotalTime)
 			}),
 			collisions: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunWiFiBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return float64(r.Collisions)
+				return float64(mustRun(t, batch(WiFi(), algo).WithOptions(WithSeed(seed))).Batch.Collisions)
 			}),
 		}
 	}
@@ -92,11 +79,7 @@ func TestPaperStory(t *testing.T) {
 			t.Errorf("Result 3: %s collisions %v <= BEB %v", a, res[a].collisions, res["BEB"].collisions)
 		}
 	}
-	one, err := RunWiFiBatch(n, BEB, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := one.Decomposition
+	d := mustRun(t, batch(WiFi(), "BEB").WithOptions(WithSeed(5))).Batch.Decomposition
 	if d.TransmissionTime <= d.AckTimeoutTime {
 		t.Errorf("Result 3: (I) %v not above (II) %v", d.TransmissionTime, d.AckTimeoutTime)
 	}
@@ -106,11 +89,8 @@ func TestPaperStory(t *testing.T) {
 
 	// Result 7: the size-estimation approach beats BEB on total time.
 	bok := medians(t, trials, func(seed uint64) float64 {
-		r, err := RunBestOfK(n, 3, WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(r.TotalTime)
+		s := Scenario{Model: WiFi(), N: n, Workload: BestOfKWorkload{K: 3}, Options: []Option{WithSeed(seed)}}
+		return float64(mustRun(t, s).BestOfK.TotalTime)
 	})
 	if bok >= res["BEB"].total {
 		t.Errorf("Result 7: best-of-3 total %v >= BEB %v",
@@ -122,18 +102,22 @@ func TestPaperStory(t *testing.T) {
 // (n, algorithm) pairs: all runs complete, metrics stay consistent, and
 // both models agree that every packet finished.
 func TestAPIInvariantsQuick(t *testing.T) {
-	algos := Algorithms()
+	var eng Engine
+	algos := PaperAlgorithmList()
 	err := quick.Check(func(nRaw uint8, algoRaw uint8, seed uint16) bool {
 		n := int(nRaw%40) + 1
-		algo := algos[int(algoRaw)%len(algos)]
-		abs, err := RunAbstractBatch(n, algo, WithSeed(uint64(seed)))
-		if err != nil || abs.CWSlots < n {
+		s := Scenario{Model: Abstract(), Algorithm: algos[int(algoRaw)%len(algos)], N: n,
+			Options: []Option{WithSeed(uint64(seed))}}
+		absRes, err := eng.Run(t.Context(), s)
+		if err != nil || absRes.Batch.CWSlots < n {
 			return false
 		}
-		wifi, err := RunWiFiBatch(n, algo, WithSeed(uint64(seed)))
+		s.Model = WiFi()
+		wifiRes, err := eng.Run(t.Context(), s)
 		if err != nil {
 			return false
 		}
+		abs, wifi := absRes.Batch, wifiRes.Batch
 		if wifi.TotalTime <= 0 || wifi.HalfTime > wifi.TotalTime {
 			return false
 		}
@@ -161,14 +145,9 @@ func TestCostModelExplainsGap(t *testing.T) {
 	const n = 120
 	var measured, modeled []float64
 	for seed := uint64(0); seed < 9; seed++ {
-		stb, err := RunWiFiBatch(n, STB, WithSeed(seed), WithPayload(1024))
-		if err != nil {
-			t.Fatal(err)
-		}
-		beb, err := RunWiFiBatch(n, BEB, WithSeed(seed), WithPayload(1024))
-		if err != nil {
-			t.Fatal(err)
-		}
+		opts := []Option{WithSeed(seed), WithPayload(1024)}
+		stb := mustRun(t, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("STB"), N: n, Options: opts}).Batch
+		beb := mustRun(t, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: n, Options: opts}).Batch
 		measured = append(measured, float64(stb.TotalTime-beb.TotalTime))
 		// Model: C·(P+ρ) + W·s with the full 1088-byte frame duration as
 		// P+ρ and the 9 µs slot as s.

@@ -65,8 +65,8 @@ type SeedFunc func(si, ti int) uint64
 // pool and streams the cells in stable row-major order: all seeds of
 // scenario 0, then scenario 1, and so on, regardless of which worker
 // finishes first. Each cell runs the scenario reseeded with its grid seed,
-// so a cell's Result is bit-identical to a serial Engine.Run (or legacy
-// Run*) call with the same seed.
+// so a cell's Result is bit-identical to a serial Engine.Run call with the
+// same seed.
 //
 // Cancelling ctx stops the sweep early: cells not yet started report
 // ctx.Err(), and the stream closes without emitting cells past the
