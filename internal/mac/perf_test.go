@@ -177,3 +177,20 @@ func TestMaxTimeoutStatsTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestVerdictCountersDeterministic: the PHY verdict counters are work
+// counters, pure functions of (scenario, seed) like the rest of
+// KernelStats, and on the paper grid the capture certificate settles a
+// share of them.
+func TestVerdictCountersDeterministic(t *testing.T) {
+	cfg := DefaultConfig()
+	a := RunBatch(cfg, 60, backoff.NewBEB, rng.New(4), nil)
+	b := RunBatch(cfg, 60, backoff.NewBEB, rng.New(4), nil)
+	if a.Kernel != b.Kernel {
+		t.Fatalf("kernel stats differ across identical runs:\n%+v\n%+v", a.Kernel, b.Kernel)
+	}
+	k := a.Kernel
+	if k.VerdictsEvaluated == 0 || k.VerdictsCertified == 0 || k.VerdictsCertified > k.VerdictsEvaluated {
+		t.Fatalf("verdicts evaluated %d, certified %d", k.VerdictsEvaluated, k.VerdictsCertified)
+	}
+}

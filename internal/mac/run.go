@@ -55,11 +55,12 @@ type Result struct {
 }
 
 // KernelStats is the deterministic work profile of one run: event-kernel
-// counters, idle-slot fast-forward savings, and Tx pool traffic. Every
-// field is a pure function of (scenario, seed) — no wall clock — so
-// reading it cannot perturb reproducibility. It is a side channel for
-// observability only: it must never be serialized into store records,
-// folded into fingerprints, or compared by result goldens.
+// counters, idle-slot fast-forward savings, Tx pool traffic, and PHY
+// reception-verdict work. Every field is a pure function of (scenario,
+// seed) — no wall clock — so reading it cannot perturb reproducibility.
+// It is a side channel for observability only: it must never be
+// serialized into store records, folded into fingerprints, or compared by
+// result goldens.
 type KernelStats struct {
 	EventsScheduled uint64 // events armed in the kernel (includes cancelled)
 	EventsFired     uint64 // events executed
@@ -71,6 +72,9 @@ type KernelStats struct {
 	TxReuses        int    // Tx allocs served from the pool
 	TxRecycles      int    // Tx objects returned to the pool
 	TxQuarantined   int    // Tx objects poisoned under CheckTxReuse
+
+	VerdictsEvaluated int // reception verdicts, one per (frame, listening receiver)
+	VerdictsCertified int // verdicts settled by the capture certificate, no interference sweep
 }
 
 // FinishTimes returns every station's finish time.
@@ -368,6 +372,9 @@ func (m *sim) kernelStats() KernelStats {
 		TxReuses:        m.medium.TxReuses,
 		TxRecycles:      m.medium.TxRecycles,
 		TxQuarantined:   m.medium.TxQuarantined,
+
+		VerdictsEvaluated: m.medium.Verdicts,
+		VerdictsCertified: m.medium.VerdictsCertified,
 	}
 }
 

@@ -190,27 +190,18 @@ type Medium struct {
 	// change result addresses.
 	CheckTxReuse bool
 
-	// rxMw[i][j] caches the linear received power (mW) at node j for a
-	// transmission from node i, folding the constant transmit power into
-	// the path-loss gain. Reception decisions run once per (frame,
-	// receiver) and interference sweeps once per (frame, receiver,
-	// interferer), so the dBm-to-mW conversions here must not be
-	// recomputed per call — math.Pow was >80% of the simulator's CPU
-	// profile before this matrix and the threshold caches below. Rows
-	// share one flat backing array: one allocation instead of n.
-	rxMw [][]float64
+	// topo holds everything derived from geometry and the radio config:
+	// the received-power matrix, the audible sets (as node indices into
+	// nodes), and the weakest-interferer powers behind the capture
+	// certificate in decodes. It is immutable and shared with every other
+	// Medium on the same layout and propagation parameters (see
+	// topoCache); nil until the first transmission or power query after
+	// the last AddNode.
+	topo *topology
 
-	// aud[i] lists the nodes that can hear node i — received power at or
-	// above the carrier-sense threshold — in node-ID order, precomputed
-	// with the gain matrix. Carrier-sense edges and FrameEnd delivery
-	// iterate these sets instead of all n nodes, which is what keeps
-	// per-transmission work proportional to the audible population in
-	// large, sparse topologies. Rows share one flat backing array.
-	aud [][]*Node
-
-	// csMw and noiseMw cache the carrier-sense and noise-floor thresholds
-	// in linear milliwatts (cfg is immutable after NewMedium).
-	csMw, noiseMw float64
+	// noiseMw caches the noise floor in linear milliwatts (cfg is
+	// immutable after NewMedium).
+	noiseMw float64
 
 	// lossRand drives random frame loss (nil when FrameLossProb == 0).
 	lossRand *rng.Source
@@ -234,6 +225,12 @@ type Medium struct {
 	TotalTx     int
 	TotalAirNs  int64
 	PeakOverlap int
+
+	// Reception verdicts computed (one per frame and listening receiver),
+	// and how many of them the capture certificate settled without the
+	// interference sweep.
+	Verdicts          int
+	VerdictsCertified int
 
 	// Tx pool counters: allocations served from the pool vs cold, objects
 	// returned for reuse, and objects poisoned under CheckTxReuse.
@@ -264,7 +261,6 @@ func NewMedium(sched *event.Scheduler, cfg Config) *Medium {
 	m := &Medium{
 		cfg:     cfg,
 		sched:   sched,
-		csMw:    cfg.CSThreshold.MilliWatt(),
 		noiseMw: cfg.NoiseFloor.MilliWatt(),
 	}
 	if cfg.FrameLossProb > 0 {
@@ -281,8 +277,7 @@ func (m *Medium) Config() Config { return m.cfg }
 func (m *Medium) AddNode(pos Position, l Listener) *Node {
 	n := &Node{ID: len(m.nodes), Pos: pos, medium: m, listener: l}
 	m.nodes = append(m.nodes, n)
-	m.rxMw = nil // invalidate gain and audible-set caches
-	m.aud = nil
+	m.topo = nil // the layout changed
 	return n
 }
 
@@ -293,65 +288,30 @@ func (m *Medium) SetListener(n *Node, l Listener) { n.listener = l }
 // Nodes returns the attached nodes.
 func (m *Medium) Nodes() []*Node { return m.nodes }
 
-// buildGains fills the received-power matrix and the per-source audible
-// sets. Positions and config are immutable once transmissions start, so
-// both are exact for the whole run.
-func (m *Medium) buildGains() {
-	k := len(m.nodes)
-	txMw := m.cfg.TxPower.MilliWatt()
-	flat := make([]float64, k*k)
-	m.rxMw = make([][]float64, k)
-	for i := range m.rxMw {
-		m.rxMw[i] = flat[i*k : (i+1)*k : (i+1)*k]
-		for j := range m.rxMw[i] {
-			if i == j {
-				continue
-			}
-			d := m.nodes[i].Pos.DistanceTo(m.nodes[j].Pos)
-			m.rxMw[i][j] = txMw * DB(-m.cfg.PathLoss.Loss(d)).Ratio()
-		}
+// topology returns the medium's topology, fetching or building it on first
+// use. Positions and config are immutable once transmissions start, so it
+// is exact for the whole run.
+func (m *Medium) topology() *topology {
+	if m.topo == nil {
+		m.loadTopology()
 	}
-	// Audible sets, in node-ID order (which keeps callback order identical
-	// to the old all-nodes scans). Appending to one flat slice and
-	// re-slicing afterwards gives n rows for O(1) allocations.
-	offsets := make([]int, k+1)
-	var audFlat []*Node
-	for i := 0; i < k; i++ {
-		row := m.rxMw[i]
-		for j := 0; j < k; j++ {
-			if row[j] >= m.csMw {
-				audFlat = append(audFlat, m.nodes[j])
-			}
-		}
-		offsets[i+1] = len(audFlat)
-	}
-	m.aud = make([][]*Node, k)
-	for i := range m.aud {
-		m.aud[i] = audFlat[offsets[i]:offsets[i+1]:offsets[i+1]]
-	}
+	return m.topo
 }
 
-// rxPowerMw returns the received power at dst for a transmission from src,
-// in milliwatts.
-func (m *Medium) rxPowerMw(src, dst *Node) float64 {
-	if m.rxMw == nil {
-		m.buildGains()
+// loadTopology is topology's slow path, kept out of line so the fast path
+// inlines into Transmit and endTx.
+func (m *Medium) loadTopology() {
+	ps := make([]Position, len(m.nodes))
+	for i, n := range m.nodes {
+		ps[i] = n.Pos
 	}
-	return m.rxMw[src.ID][dst.ID]
-}
-
-// audibleFrom returns the nodes that can carrier-sense a transmission from
-// src, excluding src itself, in node-ID order.
-func (m *Medium) audibleFrom(src *Node) []*Node {
-	if m.aud == nil {
-		m.buildGains()
-	}
-	return m.aud[src.ID]
+	m.topo = sharedTopologies.topologyFor(&m.cfg, ps)
 }
 
 // RxPower returns the received power at dst for a transmission from src.
 func (m *Medium) RxPower(src, dst *Node) DBm {
-	return DBmFromMilliWatt(m.rxPowerMw(src, dst))
+	t := m.topology()
+	return DBmFromMilliWatt(t.rxMw[src.ID*t.k+dst.ID])
 }
 
 // allocTx draws a recycled Tx from the pool (or the heap allocator on a
@@ -429,7 +389,8 @@ func (m *Medium) Transmit(src *Node, rate Rate, bytes int, p Payload) *Tx {
 	src.sending = true
 
 	// Carrier-sense rising edges at every node that can hear the source.
-	for _, n := range m.audibleFrom(src) {
+	for _, idx := range m.topology().audible(src.ID) {
+		n := m.nodes[idx]
 		n.busyCount++
 		if n.busyCount == 1 && n.listener != nil {
 			n.listener.ChannelBusy(now)
@@ -486,13 +447,15 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 	// pre-idle state, then drop carrier sense. Only nodes that can hear
 	// the source are visited; a node below the carrier-sense threshold
 	// never detected the frame at all, so it gets no FrameEnd.
-	audible := m.audibleFrom(tx.Src)
+	audible := m.topology().audible(tx.Src.ID)
+	contended := tx.hasEffectiveInterferer()
 	deliveries := m.deliv[:0]
-	for _, n := range audible {
+	for _, idx := range audible {
+		n := m.nodes[idx]
 		if n.listener == nil {
 			continue
 		}
-		deliveries = append(deliveries, delivery{n, m.decodes(tx, n)})
+		deliveries = append(deliveries, delivery{n, m.decodes(tx, n, contended)})
 	}
 	for _, d := range deliveries {
 		d.n.listener.FrameEnd(tx, d.ok, now)
@@ -501,7 +464,8 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 	if tx.Src.listener != nil {
 		tx.Src.listener.TxDone(tx, now)
 	}
-	for _, n := range audible {
+	for _, idx := range audible {
+		n := m.nodes[idx]
 		n.busyCount--
 		if n.busyCount == 0 && n.listener != nil {
 			n.listener.ChannelIdle(now)
@@ -518,15 +482,31 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 	tx.Release()
 }
 
+// hasEffectiveInterferer reports whether some interferer was on the air
+// for a non-empty stretch of tx: one that starts before tx ends and ends
+// after both its own start and tx's start. Interferers that end exactly at
+// tx.Start, or start exactly at tx.End, do not count.
+func (tx *Tx) hasEffectiveInterferer() bool {
+	for _, itx := range tx.interferers {
+		if itx.Start < tx.End && itx.End > max(itx.Start, tx.Start) {
+			return true
+		}
+	}
+	return false
+}
+
 // decodes reports whether tx decodes successfully at node n: the node was
 // not itself transmitting for any part of the frame, the received power
 // clears the noise-limited SINR threshold, and the worst-case concurrent
-// interference keeps SINR at or above the rate's minimum.
-func (m *Medium) decodes(tx *Tx, n *Node) bool {
+// interference keeps SINR at or above the rate's minimum. contended is
+// tx.hasEffectiveInterferer(), computed once per frame by the caller.
+func (m *Medium) decodes(tx *Tx, n *Node, contended bool) bool {
+	m.Verdicts++
 	if tx.aborted {
 		return false
 	}
-	sigMw := m.rxPowerMw(tx.Src, n)
+	t := m.topo
+	sigMw := t.rxMw[tx.Src.ID*t.k+n.ID]
 	noiseMw := m.noiseMw
 	need := tx.Rate.MinSINRRatio()
 	if sigMw/noiseMw < need {
@@ -538,6 +518,15 @@ func (m *Medium) decodes(tx *Tx, n *Node) bool {
 		if itx.Src == n {
 			return false
 		}
+	}
+	// Capture certificate: an effective interferer is some source other
+	// than tx.Src and n, so the swept interference is at least the weakest
+	// such source's power at n. Float addition and division are monotone,
+	// so the swept SINR is at most this bound, and a failing bound is the
+	// sweep's verdict.
+	if contended && sigMw/(noiseMw+t.weakestOther(n.ID, tx.Src.ID)) < need {
+		m.VerdictsCertified++
+		return false
 	}
 	worst := m.maxInterferenceMw(tx, n)
 	if sigMw/(noiseMw+worst) < need {
@@ -565,12 +554,13 @@ func (m *Medium) maxInterferenceMw(tx *Tx, n *Node) float64 {
 		}
 	}
 	m.pts = points[:0]
+	rx, k := m.topo.rxMw, m.topo.k
 	var worst float64
 	for _, p := range points {
 		var sum float64
 		for _, itx := range tx.interferers {
 			if itx.Start <= p && p < itx.End && itx.Src != n {
-				sum += m.rxPowerMw(itx.Src, n)
+				sum += rx[itx.Src.ID*k+n.ID]
 			}
 		}
 		if sum > worst {

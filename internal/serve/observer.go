@@ -9,7 +9,9 @@ package serve
 //     (events scheduled/fired/canceled/pooled, idle slots fast-forwarded,
 //     queue-depth high-water mark);
 //   - contend_pool_*: Tx pool traffic (transmissions, pool reuses,
-//     recycles, quarantines).
+//     recycles, quarantines);
+//   - contend_phy_*: reception verdicts computed, and how many the capture
+//     certificate settled without an interference sweep.
 //
 // When a span sink is attached, each cell additionally emits one JSONL
 // lifecycle span carrying the same stages as attributes. All collectors
@@ -51,6 +53,9 @@ type engineObserver struct {
 	txRecycles    *obs.Counter
 	txQuarantined *obs.Counter
 
+	verdicts          *obs.Counter
+	verdictsCertified *obs.Counter
+
 	spans obs.SpanSink // nil = no span emission
 }
 
@@ -91,6 +96,11 @@ func newEngineObserver(reg *obs.Registry, spans obs.SpanSink) *engineObserver {
 		txQuarantined: reg.Counter("contend_pool_tx_quarantined_total",
 			"Tx objects quarantined under CheckTxReuse."),
 
+		verdicts: reg.Counter("contend_phy_verdicts_total",
+			"Reception verdicts computed, one per frame and listening receiver."),
+		verdictsCertified: reg.Counter("contend_phy_verdicts_certified_total",
+			"Reception verdicts settled by the capture certificate without an interference sweep."),
+
 		spans: spans,
 	}
 }
@@ -121,6 +131,9 @@ func (o *engineObserver) ObserveCell(c repro.CellInfo) {
 		o.txReuses.Add(int64(c.Sim.TxReuses))
 		o.txRecycles.Add(int64(c.Sim.TxRecycles))
 		o.txQuarantined.Add(int64(c.Sim.TxQuarantined))
+
+		o.verdicts.Add(int64(c.Sim.VerdictsEvaluated))
+		o.verdictsCertified.Add(int64(c.Sim.VerdictsCertified))
 	}
 
 	if o.spans != nil {

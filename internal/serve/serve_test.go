@@ -579,7 +579,7 @@ func TestStatsAndMetrics(t *testing.T) {
 		`contend_requests_total{endpoint="sweep"} 2`,
 		`contend_request_latency_ms_count{endpoint="sweep"} 2`,
 		`contend_request_latency_ms_bucket{endpoint="sweep",le="+Inf"} 2`,
-		// Engine, kernel, pool, and runtime families from the observer.
+		// Engine, kernel, pool, phy, and runtime families from the observer.
 		`contend_engine_cells_total{outcome="simulated"} 4`,
 		`contend_engine_cells_total{outcome="replayed"} 4`,
 		"contend_engine_sim_duration_ms_count 4",
@@ -587,6 +587,8 @@ func TestStatsAndMetrics(t *testing.T) {
 		"contend_kernel_events_fired_total",
 		"contend_kernel_idle_slots_skipped_total",
 		"contend_pool_tx_recycles_total",
+		"contend_phy_verdicts_total",
+		"contend_phy_verdicts_certified_total",
 		"contend_runtime_goroutines",
 		"contend_runtime_gc_cycles_total",
 	} {

@@ -21,10 +21,10 @@ import (
 )
 
 // SimStats is the deterministic work profile of one simulated cell:
-// event-kernel counters, idle-slot fast-forward savings, and Tx pool
-// traffic. Every field is a pure function of (scenario, seed) — see
-// mac.KernelStats. It is a side channel: never serialized into store
-// records, never fingerprinted.
+// event-kernel counters, idle-slot fast-forward savings, Tx pool traffic,
+// and PHY reception-verdict work. Every field is a pure function of
+// (scenario, seed) — see mac.KernelStats. It is a side channel: never
+// serialized into store records, never fingerprinted.
 type SimStats = mac.KernelStats
 
 // CellInfo describes one completed grid cell, delivered to an Observer
