@@ -9,6 +9,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mac"
@@ -28,10 +29,13 @@ type Model interface {
 	// ("abstract", "wifi"). Renaming a model changes its random streams.
 	Name() string
 
-	// run executes the scenario with resolved options. The scenario has
-	// already been validated. Implementations are in-package: run keeps the
-	// interface closed so the RNG-label contract stays enforceable.
-	run(ctx context.Context, s Scenario, o options) (Result, error)
+	// run executes the scenario with resolved options and returns its
+	// Result together with the run's deterministic kernel profile (zero
+	// for the abstract models, which have no event kernel). The scenario
+	// has already been validated. Implementations are in-package: run
+	// keeps the interface closed so the RNG-label contract stays
+	// enforceable.
+	run(ctx context.Context, s Scenario, o options) (Result, SimStats, error)
 }
 
 // Abstract returns the abstract slotted model (assumptions A0–A2): a
@@ -47,8 +51,9 @@ func WiFi() Model { return wifiModel{} }
 // contention windows instead of globally aligned ones — the MAC's window
 // semantics priced in the abstract currency. It exists for the alignment
 // ablation DESIGN.md documents; the paper's analysis assumes aligned
-// windows, which Abstract implements.
-func AbstractUnaligned() Model { return abstractUnalignedModel{} }
+// windows, which Abstract implements. Tree splitting has no windows, so
+// this model does not run it.
+func AbstractUnaligned() Model { return abstractModel{unaligned: true} }
 
 // errUnsupported formats the model × workload incompatibility error.
 func errUnsupported(m Model, w Workload) error {
@@ -58,69 +63,49 @@ func errUnsupported(m Model, w Workload) error {
 
 // --- Abstract slotted model -------------------------------------------------
 
-type abstractModel struct{}
+// abstractModel is the abstract slotted model; unaligned selects
+// per-station window boundaries (the alignment ablation).
+type abstractModel struct{ unaligned bool }
 
-func (abstractModel) Name() string { return "abstract" }
-
-func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, error) {
-	switch s.workload().(type) {
-	case SingleBatch:
-		f, err := s.Algorithm.factory()
-		if err != nil {
-			return Result{}, err
-		}
-		g := o.stream(fmt.Sprintf("abstract|%s|n=%d", s.Algorithm, s.N))
-		res := slotted.RunBatch(s.N, f, g)
-		return Result{Batch: &BatchResult{
-			N:             s.N,
-			Model:         m.Name(),
-			Algorithm:     s.Algorithm.String(),
-			CWSlots:       res.CWSlots,
-			Collisions:    res.Collisions,
-			CWSlotsAtHalf: res.HalfSlots,
-		}}, nil
-	case TreeWorkload:
-		g := o.stream(fmt.Sprintf("tree|n=%d", s.N))
-		res := slotted.RunTreeBatch(s.N, g)
-		return Result{Batch: &BatchResult{
-			N:             s.N,
-			Model:         m.Name(),
-			Algorithm:     "TREE",
-			CWSlots:       res.CWSlots,
-			Collisions:    res.Collisions,
-			CWSlotsAtHalf: res.HalfSlots,
-		}}, nil
-	default:
-		return Result{}, errUnsupported(m, s.workload())
+func (m abstractModel) Name() string {
+	if m.unaligned {
+		return "abstract-unaligned"
 	}
+	return "abstract"
 }
 
-// --- Abstract model, per-station windows (alignment ablation) ---------------
-
-type abstractUnalignedModel struct{}
-
-func (abstractUnalignedModel) Name() string { return "abstract-unaligned" }
-
-func (m abstractUnalignedModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, SimStats, error) {
+	var res slotted.Result
+	algo := s.Algorithm.String()
 	switch s.workload().(type) {
 	case SingleBatch:
 		f, err := s.Algorithm.factory()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
-		g := o.stream(fmt.Sprintf("abstract-unaligned|%s|n=%d", s.Algorithm, s.N))
-		res := slotted.RunBatchUnaligned(s.N, f, g)
-		return Result{Batch: &BatchResult{
-			N:             s.N,
-			Model:         m.Name(),
-			Algorithm:     s.Algorithm.String(),
-			CWSlots:       res.CWSlots,
-			Collisions:    res.Collisions,
-			CWSlotsAtHalf: res.HalfSlots,
-		}}, nil
+		g := o.stream(fmt.Sprintf("%s|%s|n=%d", m.Name(), s.Algorithm, s.N))
+		if m.unaligned {
+			res = slotted.RunBatchUnaligned(s.N, f, g)
+		} else {
+			res = slotted.RunBatch(s.N, f, g)
+		}
+	case TreeWorkload:
+		if m.unaligned {
+			return Result{}, SimStats{}, errUnsupported(m, s.workload())
+		}
+		res = slotted.RunTreeBatch(s.N, o.stream(fmt.Sprintf("tree|n=%d", s.N)))
+		algo = "TREE"
 	default:
-		return Result{}, errUnsupported(m, s.workload())
+		return Result{}, SimStats{}, errUnsupported(m, s.workload())
 	}
+	return Result{Batch: &BatchResult{
+		N:             s.N,
+		Model:         m.Name(),
+		Algorithm:     algo,
+		CWSlots:       res.CWSlots,
+		Collisions:    res.Collisions,
+		CWSlotsAtHalf: res.HalfSlots,
+	}}, SimStats{}, nil
 }
 
 // --- IEEE 802.11g DCF model -------------------------------------------------
@@ -148,11 +133,6 @@ func materializeMACConfig(w Workload, o options) mac.Config {
 	return cfg
 }
 
-// config materializes the MAC configuration from resolved options.
-func (wifiModel) config(o options) mac.Config {
-	return materializeMACConfig(SingleBatch{}, o)
-}
-
 func (wifiModel) tracer(o options) mac.Tracer {
 	if o.tracer != nil {
 		return o.tracer
@@ -160,85 +140,62 @@ func (wifiModel) tracer(o options) mac.Tracer {
 	return nil
 }
 
-func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+// batchResult converts one MAC batch run into the public BatchResult,
+// including the paper's Section III-B decomposition of its total time.
+func (m wifiModel) batchResult(cfg mac.Config, n int, algo string, res mac.Result) BatchResult {
+	d := core.Decompose(cfg, res)
+	return BatchResult{
+		N:                 n,
+		Model:             m.Name(),
+		Algorithm:         algo,
+		CWSlots:           res.CWSlots,
+		Collisions:        res.Collisions,
+		TotalTime:         res.TotalTime,
+		HalfTime:          res.HalfTime,
+		CWSlotsAtHalf:     res.CWSlotsAtHalf,
+		MaxAckTimeouts:    res.MaxAckTimeouts,
+		MaxAckTimeoutWait: res.MaxAckTimeoutWait,
+		Captures:          res.Captures,
+		Stations:          append([]StationStats(nil), res.Stations...),
+		Decomposition:     &d,
+	}
+}
+
+func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, SimStats, error) {
+	cfg := materializeMACConfig(s.workload(), o)
 	switch w := s.workload().(type) {
 	case SingleBatch:
 		f, err := s.Algorithm.factory()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
-		cfg := m.config(o)
 		g := o.stream(fmt.Sprintf("wifi|%s|n=%d", s.Algorithm, s.N))
 		res := mac.RunBatch(cfg, s.N, f, g, m.tracer(o))
-		if o.simStats != nil {
-			*o.simStats = res.Kernel
-		}
-		d := core.Decompose(cfg, res)
-		return Result{Batch: &BatchResult{
-			N:                 s.N,
-			Model:             m.Name(),
-			Algorithm:         s.Algorithm.String(),
-			CWSlots:           res.CWSlots,
-			Collisions:        res.Collisions,
-			TotalTime:         res.TotalTime,
-			HalfTime:          res.HalfTime,
-			CWSlotsAtHalf:     res.CWSlotsAtHalf,
-			MaxAckTimeouts:    res.MaxAckTimeouts,
-			MaxAckTimeoutWait: res.MaxAckTimeoutWait,
-			Captures:          res.Captures,
-			Stations:          append([]StationStats(nil), res.Stations...),
-			Decomposition:     &d,
-		}}, nil
+		b := m.batchResult(cfg, s.N, s.Algorithm.String(), res)
+		return Result{Batch: &b}, res.Kernel, nil
 
 	case BestOfKWorkload:
-		cfg := materializeMACConfig(w, o)
 		g := o.stream(fmt.Sprintf("bok|k=%d|n=%d", w.K, s.N))
 		res := mac.RunBestOfK(cfg, mac.DefaultBestOfK(w.K), s.N, g, m.tracer(o))
-		if o.simStats != nil {
-			*o.simStats = res.Kernel
-		}
-		d := core.Decompose(cfg, res.Result)
-		ests := append([]int(nil), res.Estimates...)
-		for i := 1; i < len(ests); i++ {
-			for j := i; j > 0 && ests[j] < ests[j-1]; j-- {
-				ests[j], ests[j-1] = ests[j-1], ests[j]
-			}
-		}
+		ests := slices.Clone(res.Estimates)
+		slices.Sort(ests)
 		return Result{BestOfK: &BestOfKResult{
-			BatchResult: BatchResult{
-				N:                 s.N,
-				Model:             m.Name(),
-				Algorithm:         fmt.Sprintf("Best-of-%d", w.K),
-				CWSlots:           res.CWSlots,
-				Collisions:        res.Collisions,
-				TotalTime:         res.TotalTime,
-				HalfTime:          res.HalfTime,
-				CWSlotsAtHalf:     res.CWSlotsAtHalf,
-				MaxAckTimeouts:    res.MaxAckTimeouts,
-				MaxAckTimeoutWait: res.MaxAckTimeoutWait,
-				Captures:          res.Captures,
-				Stations:          append([]StationStats(nil), res.Stations...),
-				Decomposition:     &d,
-			},
+			BatchResult:    m.batchResult(cfg, s.N, fmt.Sprintf("Best-of-%d", w.K), res.Result),
 			MedianEstimate: ests[len(ests)/2],
 			EstimationTime: res.EstimationTime,
-		}}, nil
+		}}, res.Kernel, nil
 
 	case ContinuousWorkload:
 		f, err := s.Algorithm.factory()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
 		proc, err := w.Arrivals.process()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
-		cfg := m.config(o)
 		g := o.stream(fmt.Sprintf("traffic|%s|%s|n=%d", s.Algorithm, proc.Name(), s.N))
 		res := mac.RunContinuous(cfg, s.N, f, proc, w.Horizon, g, m.tracer(o))
-		if o.simStats != nil {
-			*o.simStats = res.Kernel
-		}
 		return Result{Traffic: &TrafficResult{
 			N:              s.N,
 			Horizon:        w.Horizon,
@@ -251,10 +208,10 @@ func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error)
 			LatencyMax:     res.LatencyMax,
 			Collisions:     res.Collisions,
 			JainFairness:   res.JainFairness,
-		}}, nil
+		}}, res.Kernel, nil
 
 	default:
-		return Result{}, errUnsupported(m, s.workload())
+		return Result{}, SimStats{}, errUnsupported(m, s.workload())
 	}
 }
 
@@ -298,10 +255,10 @@ type Engine struct {
 	// them): admit wait, store hit/miss, simulate and write-through
 	// durations, and the run's deterministic kernel profile. Observation is
 	// passive — cell values, streaming order, goldens, and fingerprints are
-	// identical with or without one — and strictly pay-for-use: a nil
-	// Observer takes the exact uninstrumented path, with no wall-clock
-	// reads and no allocations. Implementations must be safe for concurrent
-	// use. See observe.go.
+	// identical with or without one — and strictly pay-for-use: with a nil
+	// Observer the cell path makes no wall-clock reads and no extra
+	// allocations. Implementations must be safe for concurrent use. See
+	// observe.go.
 	Observer Observer
 }
 
@@ -317,11 +274,19 @@ func (e Engine) WithStore(st *Store) *Engine {
 // simulation always runs to completion (cancellation is checked between
 // scenarios, not inside the discrete-event loop).
 func (e *Engine) Run(ctx context.Context, s Scenario) (Result, error) {
+	res, _, err := simulate(ctx, s, buildOptions(s.Options))
+	return res, err
+}
+
+// simulate validates s and executes it under the resolved options o,
+// returning the run's kernel profile alongside its Result. It is the one
+// execution path behind Engine.Run and every grid cell.
+func simulate(ctx context.Context, s Scenario, o options) (Result, SimStats, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return Result{}, SimStats{}, err
 	}
 	if err := s.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, SimStats{}, err
 	}
-	return s.Model.run(ctx, s, buildOptions(s.Options))
+	return s.Model.run(ctx, s, o)
 }

@@ -12,6 +12,7 @@ func TestEngineRunRejectsInvalidScenarios(t *testing.T) {
 		"unknown algorithm":   {Model: WiFi(), Algorithm: Algorithm{spec: "WAT"}, N: 10},
 		"tree n=0":            {Model: Abstract(), N: 0, Workload: TreeWorkload{}},
 		"wifi tree":           {Model: WiFi(), N: 10, Workload: TreeWorkload{}},
+		"unaligned tree":      {Model: AbstractUnaligned(), N: 10, Workload: TreeWorkload{}},
 		"abstract best-of-k":  {Model: Abstract(), N: 10, Workload: BestOfKWorkload{K: 3}},
 		"abstract continuous": {Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 10, Workload: ContinuousWorkload{Arrivals: Saturated(), Horizon: time.Millisecond}},
 	})

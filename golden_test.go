@@ -54,6 +54,24 @@ func TestGoldenAbstractBatch(t *testing.T) {
 	}
 }
 
+func TestGoldenAbstractUnalignedBatch(t *testing.T) {
+	want := map[string]struct{ cwSlots, collisions, atHalf int }{
+		"BEB": {241, 27, 48},
+		"LB":  {162, 47, 70},
+		"LLB": {164, 34, 59},
+		"STB": {164, 60, 75},
+	}
+	for algo, w := range want {
+		res := mustRun(t, Scenario{Model: AbstractUnaligned(), Algorithm: MustAlgorithm(algo), N: 30,
+			Options: []Option{WithSeed(42)}}).Batch
+		if res.Model != "abstract-unaligned" || res.CWSlots != w.cwSlots ||
+			res.Collisions != w.collisions || res.CWSlotsAtHalf != w.atHalf {
+			t.Errorf("%s: got (%s, cw %d, coll %d, half %d), want (abstract-unaligned, %d, %d, %d)",
+				algo, res.Model, res.CWSlots, res.Collisions, res.CWSlotsAtHalf, w.cwSlots, w.collisions, w.atHalf)
+		}
+	}
+}
+
 func TestGoldenBestOfK(t *testing.T) {
 	res := mustRun(t, Scenario{Model: WiFi(), N: 30, Workload: BestOfKWorkload{K: 3},
 		Options: []Option{WithSeed(42)}}).BestOfK

@@ -64,26 +64,13 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 	if bok.K < 1 || bok.Levels < 1 {
 		panic("mac: BestOfKConfig needs K >= 1 and Levels >= 1")
 	}
-	sched := &event.Scheduler{}
-	medium := phy.NewMedium(sched, cfg.Radio)
-	m := &sim{
-		cfg:    cfg,
-		sched:  sched,
-		medium: medium,
-		tracer: tracer,
-		half:   (n + 1) / 2,
-	}
-	m.ap = &accessPoint{sim: m}
-	m.ap.node = medium.AddNode(phy.APPosition(), m.ap)
+	m := newChannel(cfg, n, g, tracer)
+	sched, medium := m.sched, m.medium
 	// The contention phase is batch-shaped (all probe-round events have
 	// fired by then), so the idle-slot fast-forward applies.
 	m.allowSlotSkip = !disableSlotSkip
 
-	layout := phy.StationGrid
-	if cfg.Layout != nil {
-		layout = cfg.Layout
-	}
-	positions := layout(n)
+	positions := cfg.positions(n)
 	nodes := make([]*phy.Node, n)
 	for i := range nodes {
 		nodes[i] = medium.AddNode(positions[i], nil)

@@ -102,6 +102,14 @@ func (c Config) MinPerPacketTime() time.Duration {
 	return c.DataFrameDuration() + c.SIFS + c.AckDuration()
 }
 
+// positions places n stations: the Layout override, or the paper's grid.
+func (c Config) positions(n int) []phy.Position {
+	if c.Layout != nil {
+		return c.Layout(n)
+	}
+	return phy.StationGrid(n)
+}
+
 func (c Config) maxEvents() uint64 {
 	if c.MaxEvents > 0 {
 		return c.MaxEvents

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/event"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/traffic"
 )
@@ -55,11 +54,7 @@ func RunContinuous(cfg Config, n int, f backoff.Factory, proc traffic.Process,
 	if horizon <= 0 {
 		panic("mac: RunContinuous needs a positive horizon")
 	}
-	layout := phy.StationGrid
-	if cfg.Layout != nil {
-		layout = cfg.Layout
-	}
-	m := newSim(cfg, layout(n), f, g, tracer)
+	m := newSim(cfg, cfg.positions(n), f, g, tracer)
 	m.collectLatencies = true
 
 	// Pre-compute each station's arrival train. The per-station cap bounds

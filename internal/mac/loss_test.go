@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,6 +76,25 @@ func TestLossDeterministicGivenSeed(t *testing.T) {
 	b := RunBatch(lossyConfig(0.1), 20, backoff.NewBEB, rng.New(5), nil)
 	if a.TotalTime != b.TotalTime || a.TotalAckTimeouts != b.TotalAckTimeouts {
 		t.Fatal("lossy runs diverged under the same seed")
+	}
+}
+
+// TestLossSeedDerivedPerRun pins where a lossy run's loss stream comes
+// from when the config leaves LossSeed zero: the run's own RNG, under the
+// "frame-loss" label. Every run mode must apply the same derivation, or
+// runs with different seeds would share one loss stream.
+func TestLossSeedDerivedPerRun(t *testing.T) {
+	const seed = 11
+	derived := lossyConfig(0.2)
+	derived.Radio.LossSeed = rng.New(seed).Derive("frame-loss").Uint64()
+
+	batch := RunBatch(lossyConfig(0.2), 20, backoff.NewBEB, rng.New(seed), nil)
+	if want := RunBatch(derived, 20, backoff.NewBEB, rng.New(seed), nil); !reflect.DeepEqual(batch, want) {
+		t.Error("RunBatch with LossSeed 0 differs from the run-derived loss seed")
+	}
+	bok := RunBestOfK(lossyConfig(0.2), DefaultBestOfK(3), 20, rng.New(seed), nil)
+	if want := RunBestOfK(derived, DefaultBestOfK(3), 20, rng.New(seed), nil); !reflect.DeepEqual(bok, want) {
+		t.Error("RunBestOfK with LossSeed 0 differs from the run-derived loss seed")
 	}
 }
 

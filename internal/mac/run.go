@@ -263,27 +263,13 @@ func (m *sim) noteInferredCollision(idx int, now event.Time) {
 
 // RunBatch simulates a single batch of n stations, all arriving at time
 // zero, each sending one packet through DCF with a contention-window
-// schedule from f. The tracer may be nil.
+// schedule from f. Stations sit at cfg.Layout(n), or on the paper's grid
+// when Layout is nil. The tracer may be nil.
 func RunBatch(cfg Config, n int, f backoff.Factory, g *rng.Source, tracer Tracer) Result {
 	if n < 1 {
 		panic("mac: RunBatch needs n >= 1")
 	}
-	layout := phy.StationGrid
-	if cfg.Layout != nil {
-		layout = cfg.Layout
-	}
-	return RunBatchAt(cfg, layout(n), f, g, tracer)
-}
-
-// RunBatchAt is RunBatch with explicit station positions (the AP stays at
-// the grid centre). It exists for topology ablations; the paper's
-// experiments all use the standard grid.
-func RunBatchAt(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Source, tracer Tracer) Result {
-	n := len(positions)
-	if n < 1 {
-		panic("mac: RunBatchAt needs at least one station")
-	}
-	m := newSim(cfg, positions, f, g, tracer)
+	m := newSim(cfg, cfg.positions(n), f, g, tracer)
 	m.allowSlotSkip = !disableSlotSkip
 	for _, s := range m.sts {
 		s.begin()
@@ -291,17 +277,19 @@ func RunBatchAt(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.
 	fired, drained := m.sched.Run(cfg.maxEvents())
 	if !drained {
 		panic(fmt.Sprintf("mac: event budget exhausted after %d events (n=%d, %s)",
-			fired, n, m.sts[0].pol.Name()))
+			fired, len(m.sts), m.sts[0].pol.Name()))
 	}
-	if m.finished != n {
-		panic(fmt.Sprintf("mac: only %d of %d stations finished", m.finished, n))
+	if m.finished != len(m.sts) {
+		panic(fmt.Sprintf("mac: only %d of %d stations finished", m.finished, len(m.sts)))
 	}
 	return m.collect(fired)
 }
 
-// newSim builds the medium, AP, and stations at the given positions.
-func newSim(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Source, tracer Tracer) *sim {
-	n := len(positions)
+// newChannel builds what every run mode shares before any station exists:
+// the scheduler, the medium, and the AP. A lossy config that leaves
+// LossSeed zero gets its loss stream derived from g, so runs with
+// different seeds draw independent losses.
+func newChannel(cfg Config, n int, g *rng.Source, tracer Tracer) *sim {
 	sched := &event.Scheduler{}
 	if cfg.Radio.FrameLossProb > 0 && cfg.Radio.LossSeed == 0 {
 		cfg.Radio.LossSeed = g.Derive("frame-loss").Uint64()
@@ -316,8 +304,15 @@ func newSim(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Sour
 	}
 	m.ap = &accessPoint{sim: m}
 	m.ap.node = medium.AddNode(phy.APPosition(), m.ap)
-	m.sts = make([]*station, n)
-	for i := 0; i < n; i++ {
+	return m
+}
+
+// newSim builds the channel and one station per position, each with a
+// fresh policy from f.
+func newSim(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Source, tracer Tracer) *sim {
+	m := newChannel(cfg, len(positions), g, tracer)
+	m.sts = make([]*station, len(positions))
+	for i, p := range positions {
 		pol := f()
 		pol.Reset()
 		st := &station{
@@ -326,7 +321,7 @@ func newSim(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Sour
 			pol: pol,
 			g:   g.DeriveIndexed("station-", i),
 		}
-		st.node = medium.AddNode(positions[i], st)
+		st.node = m.medium.AddNode(p, st)
 		m.sts[i] = st
 	}
 	return m

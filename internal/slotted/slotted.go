@@ -48,13 +48,9 @@ type Result struct {
 	Windows int
 }
 
-// Aligned reports results for the batch-aligned window semantics the
-// paper's analysis uses: all stations share window boundaries, as they do
-// when a single batch starts simultaneously and the schedule is
-// deterministic.
-//
-// RunBatch simulates one run with a fresh policy from f and randomness g.
-// It panics if n < 1 or the policy stops making progress.
+// RunBatch simulates one run with a fresh policy from f and randomness g,
+// with the batch-aligned windows the paper's analysis uses: all stations
+// share window boundaries. It panics if n < 1 or the policy stops making progress.
 func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 	if n < 1 {
 		panic("slotted: RunBatch needs n >= 1")
@@ -98,14 +94,12 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 		sort.Slice(draws, func(i, j int) bool { return draws[i].slot < draws[j].slot })
 
 		// Walk runs of equal slot index.
-		occupied := 0
 		next := pending[:0]
 		for i := 0; i < len(draws); {
 			j := i + 1
 			for j < len(draws) && draws[j].slot == draws[i].slot {
 				j++
 			}
-			occupied++
 			if j-i == 1 {
 				pkt := draws[i].pkt
 				res.SingletonSlots++
@@ -128,7 +122,6 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 		}
 		pending = next
 		offset += w
-		_ = occupied
 	}
 
 	for _, p := range res.FinishSlots {
@@ -145,17 +138,12 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 	// Slots at or before CWSlots belong to fully processed windows except
 	// the tail of the final window (all empty past the last success, and
 	// excluded from the count by definition of CWSlots).
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions - trailingCollisionFree(res)
+	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
 	if res.EmptySlots < 0 {
 		res.EmptySlots = 0
 	}
 	return res
 }
-
-// trailingCollisionFree exists for clarity of the EmptySlots formula: all
-// collision and singleton slots lie at or before CWSlots by construction,
-// so nothing needs subtracting. Kept as a named zero for the formula above.
-func trailingCollisionFree(Result) int { return 0 }
 
 // RunBatchUnaligned simulates the same single batch but with per-station
 // window boundaries: after a failure a station waits until the end of its

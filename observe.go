@@ -8,13 +8,12 @@ package repro
 // engine/harness boundary, never inside the simulation packages (the
 // obsguard analyzer in internal/lint enforces that split).
 //
-// The hook is strictly pay-for-use: with Engine.Observer nil, runCell
-// takes the exact pre-observability path — no time.Now calls, no CellInfo,
-// no allocations — which is what keeps the zero-alloc steady-state
-// invariant intact.
+// The hook is strictly pay-for-use: every cell runs the one runCell path,
+// and with Engine.Observer nil that path makes no clock reads and no extra
+// allocations (clock and elapsed below), which is what keeps the zero-alloc
+// steady-state invariant intact.
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/mac"
@@ -81,38 +80,21 @@ type Observer interface {
 	ObserveCell(CellInfo)
 }
 
-// runCellObserved is runCell's instrumented twin: same store/admit/run
-// plumbing, plus wall-clock spans around each stage and an ObserveCell
-// callback once the cell is final. Kept separate so the nil-observer path
-// stays byte-for-byte the old code.
-func (e *Engine) runCellObserved(ctx context.Context, s Scenario, cellSeed uint64, fp string) (Result, error) {
-	start := time.Now()
-	info := CellInfo{Scenario: s, Seed: cellSeed, Fingerprint: fp, Start: start}
-	run := func() (Result, error) {
-		info.Simulated = true
-		if e.Admit != nil {
-			t0 := time.Now()
-			release, err := e.Admit(ctx)
-			info.AdmitWait = time.Since(t0)
-			if err != nil {
-				return Result{}, err
-			}
-			defer release()
-		}
-		t0 := time.Now()
-		res, err := e.Run(ctx, s.WithOptions(WithSeed(cellSeed), withSimStats(&info.Sim)))
-		info.SimDuration = time.Since(t0)
-		return res, err
+// clock reads the wall clock for observed cells only. Without an Observer
+// it returns the zero Time, which elapsed turns into a zero duration, so an
+// unobserved cell never reads the clock.
+func (e *Engine) clock() time.Time {
+	if e.Observer == nil {
+		return time.Time{}
 	}
-	var res Result
-	var err error
-	if e.Store == nil || fp == "" {
-		res, err = run()
-	} else {
-		res, err = e.Store.doTimed(fp, cellSeed, run, &info.PutDuration)
+	return time.Now()
+}
+
+// elapsed returns the wall time since t0, or zero without a clock read when
+// t0 is the zero Time an unobserved clock call returned.
+func elapsed(t0 time.Time) time.Duration {
+	if t0.IsZero() {
+		return 0
 	}
-	info.Total = time.Since(start)
-	info.Err = err
-	e.Observer.ObserveCell(info)
-	return res, err
+	return time.Since(t0)
 }

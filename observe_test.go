@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -110,5 +111,33 @@ func TestSweepObserverIdentity(t *testing.T) {
 		if c.Fingerprint == "" {
 			t.Error("store-backed observed cell carries no fingerprint")
 		}
+	}
+}
+
+type nopObserver struct{}
+
+func (nopObserver) ObserveCell(CellInfo) {}
+
+// TestObserverCellAllocs pins the cost contract at the cell: observing a
+// storeless cell may read the clock, but it must not allocate more than
+// running the same cell with a nil Observer.
+func TestObserverCellAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are randomized under the race detector")
+	}
+	s := Scenario{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 50}
+	o := buildOptions(s.Options)
+	o.seed = 3
+	allocs := func(e *Engine) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := e.runCell(context.Background(), s, o, ""); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	unobserved := allocs(&Engine{})
+	observed := allocs(&Engine{Observer: nopObserver{}})
+	if observed > unobserved {
+		t.Errorf("an observed cell allocates %v times, an unobserved one %v", observed, unobserved)
 	}
 }

@@ -149,16 +149,10 @@ func (st *Store) Put(fp string, seed uint64, r Result) error {
 // followers are released; errors are never cached (a follower whose leader
 // failed retries from the top, where its own context error surfaces). A
 // write-through failure does not fail the cell — the computed Result is
-// served and the error is recorded in Stats.WriteErr.
-func (st *Store) do(fp string, seed uint64, run func() (Result, error)) (Result, error) {
-	return st.doTimed(fp, seed, run, nil)
-}
-
-// doTimed is do with an optional write-through timer: when putDur is
-// non-nil, the wall time of the leader's Put lands there. A nil putDur
-// reads no clock at all, so the uncached path costs exactly what do always
-// cost — the nil-observer contract extends down to here.
-func (st *Store) doTimed(fp string, seed uint64, run func() (Result, error), putDur *time.Duration) (Result, error) {
+// served and the error is recorded in Stats.WriteErr. When putDur is
+// non-nil, the wall time of the leader's Put lands there; a nil putDur
+// reads no clock.
+func (st *Store) do(fp string, seed uint64, run func() (Result, error), putDur *time.Duration) (Result, error) {
 	k := store.Key{Fingerprint: fp, Seed: seed}
 	for {
 		if res, ok := st.Get(fp, seed); ok {
@@ -189,13 +183,13 @@ func (st *Store) doTimed(fp string, seed uint64, run func() (Result, error), put
 		st.misses.Add(1)
 		f.res, f.err = run()
 		if f.err == nil {
-			var perr error
+			var t0 time.Time
 			if putDur != nil {
-				t0 := time.Now()
-				perr = st.Put(fp, seed, f.res)
+				t0 = time.Now()
+			}
+			perr := st.Put(fp, seed, f.res)
+			if putDur != nil {
 				*putDur = time.Since(t0)
-			} else {
-				perr = st.Put(fp, seed, f.res)
 			}
 			if perr != nil {
 				st.mu.Lock()

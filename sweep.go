@@ -11,6 +11,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/rng"
@@ -112,10 +113,10 @@ func (e *Engine) SweepSeeded(ctx context.Context, scenarios []Scenario, trials i
 			c := Cell{ScenarioIndex: si, SeedIndex: ji, Seed: seed(si, ji)}
 			if err := ctx.Err(); err != nil {
 				c.Err = err
-			} else if err := rejectTracer(scenarios[si]); err != nil {
-				c.Err = err
 			} else {
-				c.Result, c.Err = e.runCell(ctx, scenarios[si], c.Seed, fps[si])
+				o := buildOptions(scenarios[si].Options)
+				o.seed = c.Seed
+				c.Result, c.Err = e.runCell(ctx, scenarios[si], o, fps[si])
 			}
 			slots[i] <- c
 		})
@@ -154,39 +155,58 @@ func (e *Engine) fingerprints(scenarios []Scenario) []string {
 	return fps
 }
 
-// runCell executes one grid cell — the scenario reseeded with its grid
-// seed. With a store attached and a valid fingerprint, the cell is served
-// through the store: replayed on a hit, simulated and written through on a
-// miss, deduplicated against identical in-flight cells. Replayed cells are
-// bit-identical to simulated ones, so callers cannot tell the difference.
-func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string) (Result, error) {
-	if e.Observer != nil {
-		return e.runCellObserved(ctx, s, seed, fp)
+// runCell executes one grid cell: scenario s under its resolved options o,
+// whose seed is the cell's. With a store attached and a valid fingerprint,
+// the cell is served through the store: replayed on a hit, simulated and
+// written through on a miss, deduplicated against identical in-flight
+// cells. Replayed cells are bit-identical to simulated ones, so callers
+// cannot tell the difference.
+//
+// With an Observer attached, the cell's stages are timed and reported once
+// the cell is final; with none, the same path runs without a clock read
+// (see Engine.clock).
+//
+// Scenarios carrying WithTrace are refused before anything runs: the
+// trace.Recorder is an unsynchronized append, and a timeline merged from
+// concurrent cells would be meaningless anyway.
+func (e *Engine) runCell(ctx context.Context, s Scenario, o options, fp string) (Result, error) {
+	if o.tracer != nil {
+		return Result{}, fmt.Errorf("repro: WithTrace is not supported in parallel execution (%s); trace single runs with Engine.Run", s)
 	}
+	info := CellInfo{Start: e.clock()}
 	run := func() (Result, error) {
+		info.Simulated = true
 		if e.Admit != nil {
+			t0 := e.clock()
 			release, err := e.Admit(ctx)
+			info.AdmitWait = elapsed(t0)
 			if err != nil {
 				return Result{}, err
 			}
 			defer release()
 		}
-		return e.Run(ctx, s.WithOptions(WithSeed(seed)))
+		t0 := e.clock()
+		res, sim, err := simulate(ctx, s, o)
+		info.SimDuration, info.Sim = elapsed(t0), sim
+		return res, err
 	}
+	var res Result
+	var err error
 	if e.Store == nil || fp == "" {
-		return run()
+		res, err = run()
+	} else {
+		var putDur *time.Duration
+		if e.Observer != nil {
+			putDur = &info.PutDuration
+		}
+		res, err = e.Store.do(fp, o.seed, run, putDur)
 	}
-	return e.Store.do(fp, seed, run)
-}
-
-// rejectTracer refuses scenarios that would feed a shared trace.Recorder
-// from concurrent workers; the Recorder is an unsynchronized append and a
-// merged multi-run timeline would be meaningless anyway.
-func rejectTracer(s Scenario) error {
-	if buildOptions(s.Options).tracer != nil {
-		return fmt.Errorf("repro: WithTrace is not supported in parallel execution (%s); trace single runs with Engine.Run", s)
+	if e.Observer != nil {
+		info.Scenario, info.Seed, info.Fingerprint, info.Err = s, o.seed, fp, err
+		info.Total = elapsed(info.Start)
+		e.Observer.ObserveCell(info)
 	}
-	return nil
+	return res, err
 }
 
 // RunMany executes scenarios in parallel on the engine's worker pool,
@@ -202,10 +222,7 @@ func (e *Engine) RunMany(ctx context.Context, scenarios []Scenario) ([]Result, e
 	errs := make([]error, len(scenarios))
 	fps := e.fingerprints(scenarios)
 	harness.ForEach(e.Workers, len(scenarios), func(i int) {
-		if errs[i] = rejectTracer(scenarios[i]); errs[i] != nil {
-			return
-		}
-		results[i], errs[i] = e.runCell(ctx, scenarios[i], buildOptions(scenarios[i].Options).seed, fps[i])
+		results[i], errs[i] = e.runCell(ctx, scenarios[i], buildOptions(scenarios[i].Options), fps[i])
 	})
 	for _, err := range errs {
 		if err != nil {
