@@ -13,7 +13,6 @@ import (
 
 	"repro"
 	"repro/internal/experiments"
-	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -29,7 +28,7 @@ func runFigure(b *testing.B, id string, cfg experiments.Config) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
-	var tab harness.Table
+	var tab experiments.Table
 	for i := 0; i < b.N; i++ {
 		tab = gen.Run(cfg)
 	}
@@ -105,7 +104,7 @@ func BenchmarkMinPacket(b *testing.B) {
 
 func BenchmarkAblationCapture(b *testing.B) {
 	cfg := experiments.Config{Trials: 3, NMax: 24, Seed: 1}
-	var tab harness.Table
+	var tab experiments.Table
 	for i := 0; i < b.N; i++ {
 		tab = experiments.AblationCapture(cfg)
 	}
@@ -116,7 +115,7 @@ func BenchmarkAblationCapture(b *testing.B) {
 
 func BenchmarkAblationAlignment(b *testing.B) {
 	cfg := experiments.Config{Trials: 3, NMax: 100, NStep: 50, Seed: 1}
-	var tab harness.Table
+	var tab experiments.Table
 	for i := 0; i < b.N; i++ {
 		tab = experiments.AblationAlignment(cfg)
 	}
@@ -127,7 +126,7 @@ func BenchmarkAblationAlignment(b *testing.B) {
 
 func BenchmarkAblationAckTimeout(b *testing.B) {
 	cfg := experiments.Config{Trials: 3, NMax: 40, Seed: 1}
-	var tab harness.Table
+	var tab experiments.Table
 	for i := 0; i < b.N; i++ {
 		tab = experiments.AblationAckTimeout(cfg)
 	}

@@ -36,6 +36,11 @@ func main() {
 		seed    = flag.Uint64("seed", 0, "base random seed")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "contend: -trials must be at least 1, got %d\n", *trials)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Ctrl-C / SIGTERM cancel the context: the sweep stops at the next cell
 	// boundary instead of running the whole grid out.
@@ -100,6 +105,7 @@ func main() {
 		m.collisions = append(m.collisions, float64(res.Collisions))
 		m.maxTO = append(m.maxTO, float64(res.MaxAckTimeouts))
 	}
+	exitIfInterrupted(ctx)
 
 	fmt.Printf("%s on %s, n=%d, payload=%dB, %d trials\n", *algo, s.Model.Name(), *n, *payload, *trials)
 	printStat("CW slots", m.cwSlots)
@@ -129,9 +135,20 @@ func runBestOfK(ctx context.Context, eng *repro.Engine, s repro.Scenario, seeds 
 		totals = append(totals, float64(res.TotalTime)/float64(time.Microsecond))
 		ests = append(ests, float64(res.MedianEstimate))
 	}
+	exitIfInterrupted(ctx)
 	fmt.Printf("best-of-%d on wifi, n=%d, payload=%dB, %d trials\n", k, n, payload, len(seeds))
 	printStat("total time (µs)", totals)
 	printStat("estimate of n", ests)
+}
+
+// exitIfInterrupted exits non-zero once ctx is cancelled: a cancelled sweep
+// closes its stream early without an error cell, so the trials collected
+// so far are a partial run and must not be summarized as the full one.
+func exitIfInterrupted(ctx context.Context) {
+	if err := ctx.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "contend: interrupted (%v)\n", err)
+		os.Exit(1)
+	}
 }
 
 func printStat(name string, xs []float64) {

@@ -3,11 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/harness"
 )
 
-func lastMedian(t *testing.T, tab harness.Table, name string) float64 {
+func lastMedian(t *testing.T, tab Table, name string) float64 {
 	t.Helper()
 	s := tab.SeriesByName(name)
 	if s == nil || len(s.Points) == 0 {
@@ -16,7 +14,7 @@ func lastMedian(t *testing.T, tab harness.Table, name string) float64 {
 	return s.Points[len(s.Points)-1].Median
 }
 
-func checkTableBasics(t *testing.T, tab harness.Table, wantSeries []string) {
+func checkTableBasics(t *testing.T, tab Table, wantSeries []string) {
 	t.Helper()
 	if tab.ID == "" || tab.Title == "" {
 		t.Fatalf("table missing ID/title: %+v", tab)
@@ -30,8 +28,8 @@ func checkTableBasics(t *testing.T, tab harness.Table, wantSeries []string) {
 			if p.Median < 0 {
 				t.Fatalf("%s/%s: negative median at x=%v", tab.ID, name, p.X)
 			}
-			if p.Lo > p.Median || p.Hi < p.Median {
-				t.Fatalf("%s/%s: CI [%v,%v] does not bracket median %v", tab.ID, name, p.Lo, p.Hi, p.Median)
+			if p.CI95Lo > p.Median || p.CI95Hi < p.Median {
+				t.Fatalf("%s/%s: CI [%v,%v] does not bracket median %v", tab.ID, name, p.CI95Lo, p.CI95Hi, p.Median)
 			}
 		}
 	}

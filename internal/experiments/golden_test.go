@@ -16,8 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite figure golden files")
@@ -27,11 +25,11 @@ var update = flag.Bool("update", false, "rewrite figure golden files")
 // own reduced grid.
 func goldenCases() []struct {
 	name string
-	tab  harness.Table
+	tab  Table
 } {
 	return []struct {
 		name string
-		tab  harness.Table
+		tab  Table
 	}{
 		{"fig3_quick", Figure3(Quick())},
 		{"fig7_quick", Figure7(Quick())},
@@ -39,29 +37,45 @@ func goldenCases() []struct {
 	}
 }
 
+// TestFigureGoldens pins each case twice: the CSV (every median, CI bound
+// and trial count) and the text rendering cmd/figures prints (the aligned
+// table, its notes, and the ASCII plot at cmd/figures' size).
 func TestFigureGoldens(t *testing.T) {
 	for _, c := range goldenCases() {
-		var buf bytes.Buffer
-		if err := c.tab.WriteCSV(&buf); err != nil {
+		var csv, text bytes.Buffer
+		if err := c.tab.WriteCSV(&csv); err != nil {
 			t.Fatalf("%s: WriteCSV: %v", c.name, err)
 		}
-		path := filepath.Join("testdata", c.name+".golden.csv")
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		if err := c.tab.WriteTable(&text); err != nil {
+			t.Fatalf("%s: WriteTable: %v", c.name, err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: missing golden (run with -update): %v", c.name, err)
+		if err := c.tab.WritePlot(&text, 78, 16); err != nil {
+			t.Fatalf("%s: WritePlot: %v", c.name, err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: output diverged from golden\ngot:\n%s\nwant:\n%s",
-				c.name, buf.Bytes(), want)
+		checkGolden(t, c.name+".golden.csv", csv.Bytes())
+		checkGolden(t, c.name+".golden.txt", text.Bytes())
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: missing golden (run with -update): %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: output diverged from golden\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }

@@ -1,4 +1,8 @@
-package harness
+package experiments
+
+// The rendered shape of a figure: a Table of named Series over a shared
+// x-axis, each Point the paper's per-point summary (repro.PointSummary)
+// at one x, plus the text, CSV and ASCII-plot renderers cmd/figures prints.
 
 import (
 	"fmt"
@@ -6,7 +10,87 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro"
+	"repro/internal/stats"
 )
+
+// Point is one x-position of a series and the summary of its trials.
+type Point struct {
+	X float64
+	repro.PointSummary
+}
+
+// Series is a named line in a figure.
+type Series struct {
+	Name   string
+	Points []Point
+}
+
+// Value returns the median at x, or NaN if x is absent.
+func (s Series) Value(x float64) float64 {
+	if p := s.pointAt(x); p != nil {
+		return p.Median
+	}
+	return math.NaN()
+}
+
+// Table is a full figure or table: several series over a shared x-axis.
+type Table struct {
+	ID     string // e.g. "fig7"
+	Title  string
+	XLabel string
+	YLabel string
+	Series []Series
+	// Notes carries free-form findings (regression summaries, percent
+	// deltas) printed with the table.
+	Notes []string
+}
+
+// SeriesByName returns the named series, or nil.
+func (t Table) SeriesByName(name string) *Series {
+	for i := range t.Series {
+		if t.Series[i].Name == name {
+			return &t.Series[i]
+		}
+	}
+	return nil
+}
+
+// PercentVsBaseline returns 100·(a−b)/b at the largest shared x, where b is
+// the baseline series — the paper's headline percentage convention
+// (baseline is always BEB).
+func (t Table) PercentVsBaseline(series, baseline string) (float64, error) {
+	a := t.SeriesByName(series)
+	b := t.SeriesByName(baseline)
+	if a == nil || b == nil || len(a.Points) == 0 || len(b.Points) == 0 {
+		return 0, fmt.Errorf("experiments: series %q or %q missing", series, baseline)
+	}
+	ax := a.Points[len(a.Points)-1]
+	bx := b.Points[len(b.Points)-1]
+	if ax.X != bx.X {
+		return 0, fmt.Errorf("experiments: series end at different x: %v vs %v", ax.X, bx.X)
+	}
+	return stats.PercentChange(ax.Median, bx.Median), nil
+}
+
+// exactPoint is a point known without sampling error — an analytic value
+// or a ratio of medians — summarized as a zero-width CI over trials.
+func exactPoint(x, v float64, trials int) Point {
+	return Point{X: x, PointSummary: repro.PointSummary{Median: v, CI95Lo: v, CI95Hi: v, Trials: trials}}
+}
+
+// intXs builds the x-axis lo, lo+step, ..., hi (inclusive when aligned).
+func intXs(lo, hi, step int) []float64 {
+	if step <= 0 || hi < lo {
+		panic("experiments: bad x-axis range")
+	}
+	var out []float64
+	for x := lo; x <= hi; x += step {
+		out = append(out, float64(x))
+	}
+	return out
+}
 
 // WriteTable prints the table in aligned text form: one row per x, one
 // column per series, with the 95% CI beside each median.
@@ -30,7 +114,7 @@ func (t Table) WriteTable(w io.Writer) error {
 				row += fmt.Sprintf("  %24s", "-")
 				continue
 			}
-			row += fmt.Sprintf("  %10.1f [%6.1f,%6.1f]", p.Median, p.Lo, p.Hi)
+			row += fmt.Sprintf("  %10.1f [%6.1f,%6.1f]", p.Median, p.CI95Lo, p.CI95Hi)
 		}
 		if _, err := fmt.Fprintln(w, row); err != nil {
 			return err
@@ -62,8 +146,8 @@ func (t Table) WriteCSV(w io.Writer) error {
 				continue
 			}
 			row = append(row,
-				fmt.Sprintf("%g", p.Median), fmt.Sprintf("%g", p.Lo),
-				fmt.Sprintf("%g", p.Hi), fmt.Sprintf("%d", p.Trials))
+				fmt.Sprintf("%g", p.Median), fmt.Sprintf("%g", p.CI95Lo),
+				fmt.Sprintf("%g", p.CI95Hi), fmt.Sprintf("%d", p.Trials))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err

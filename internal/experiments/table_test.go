@@ -1,32 +1,17 @@
-package harness
+package experiments
 
 import (
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
+
+	"repro"
 )
 
-func TestForEachCoversAllIndicesOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		const n = 37
-		counts := make([]int64, n)
-		ForEach(workers, n, func(i int) { atomic.AddInt64(&counts[i], 1) })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-	// Degenerate sizes must not hang or panic.
-	ForEach(4, 0, func(int) { t.Fatal("fn called for n=0") })
-	ForEach(0, -1, func(int) { t.Fatal("fn called for n<0") })
-}
-
 func TestIntXs(t *testing.T) {
-	xs := IntXs(10, 150, 10)
+	xs := intXs(10, 150, 10)
 	if len(xs) != 15 || xs[0] != 10 || xs[14] != 150 {
-		t.Fatalf("IntXs = %v", xs)
+		t.Fatalf("intXs = %v", xs)
 	}
 }
 
@@ -36,15 +21,20 @@ func TestIntXsPanicsOnBadRange(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	IntXs(10, 5, 1)
+	intXs(10, 5, 1)
+}
+
+// testPoint is a five-trial point with the given median and CI.
+func testPoint(x, median, lo, hi float64) Point {
+	return Point{X: x, PointSummary: repro.PointSummary{Median: median, CI95Lo: lo, CI95Hi: hi, Trials: 5}}
 }
 
 func makeTable() Table {
 	return Table{
 		ID: "fig0", Title: "test", XLabel: "n", YLabel: "y",
 		Series: []Series{
-			{Name: "BEB", Points: []Point{{X: 10, Median: 100, Lo: 90, Hi: 110, Trials: 5}, {X: 20, Median: 200, Lo: 180, Hi: 220, Trials: 5}}},
-			{Name: "STB", Points: []Point{{X: 10, Median: 50, Lo: 45, Hi: 55, Trials: 5}, {X: 20, Median: 260, Lo: 250, Hi: 270, Trials: 5}}},
+			{Name: "BEB", Points: []Point{testPoint(10, 100, 90, 110), testPoint(20, 200, 180, 220)}},
+			{Name: "STB", Points: []Point{testPoint(10, 50, 45, 55), testPoint(20, 260, 250, 270)}},
 		},
 	}
 }

@@ -2,8 +2,8 @@ package serve
 
 // The serving layer's metrics, all behind one obs.Registry:
 //
-//   - per-endpoint HTTP counters and a latency histogram (this file) —
-//     the successor of the old hand-rolled 512-sample latency ring;
+//   - per-endpoint HTTP counters and a latency histogram (this file),
+//     registered once per route when New builds the mux;
 //   - engine / kernel / Tx-pool families fed by the repro.Observer hook
 //     (observer.go);
 //   - store, admission, and Go-runtime families registered as live
@@ -15,8 +15,6 @@ package serve
 // can never disagree.
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -27,87 +25,33 @@ import (
 // 10^5-cell sweep, fine enough to separate warm replays from simulations.
 var latencyBucketsMS = obs.ExpBuckets(0.25, 2, 16)
 
-type metrics struct {
-	reg *obs.Registry
-
-	mu        sync.Mutex
-	endpoints map[string]*endpointSeries
-}
-
-// endpointSeries caches one endpoint's collectors so the per-request path
+// route holds one endpoint's request collectors, so the per-request path
 // does not re-enter the registry.
-type endpointSeries struct {
+type route struct {
+	name    string
 	count   *obs.Counter
 	errors  *obs.Counter
 	latency *obs.Histogram
 }
 
-func newMetrics(reg *obs.Registry) *metrics {
-	return &metrics{reg: reg, endpoints: make(map[string]*endpointSeries)}
-}
-
-// endpoint returns (registering on first use) the collectors for name.
-func (m *metrics) endpoint(name string) *endpointSeries {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.endpoints[name]
-	if e == nil {
-		e = &endpointSeries{
-			count: m.reg.Counter("contend_requests_total",
-				"HTTP requests by endpoint.", "endpoint", name),
-			errors: m.reg.Counter("contend_request_errors_total",
-				"Failed HTTP requests by endpoint.", "endpoint", name),
-			latency: m.reg.Histogram("contend_request_latency_ms",
-				"HTTP request latency in milliseconds.", latencyBucketsMS, "endpoint", name),
-		}
-		m.endpoints[name] = e
+// newRoute registers the request series of the endpoint name.
+func newRoute(reg *obs.Registry, name string) *route {
+	return &route{
+		name: name,
+		count: reg.Counter("contend_requests_total",
+			"HTTP requests by endpoint.", "endpoint", name),
+		errors: reg.Counter("contend_request_errors_total",
+			"Failed HTTP requests by endpoint.", "endpoint", name),
+		latency: reg.Histogram("contend_request_latency_ms",
+			"HTTP request latency in milliseconds.", latencyBucketsMS, "endpoint", name),
 	}
-	return e
 }
 
 // observe records one completed request.
-func (m *metrics) observe(name string, d time.Duration, failed bool) {
-	e := m.endpoint(name)
-	e.count.Inc()
+func (rt *route) observe(d time.Duration, failed bool) {
+	rt.count.Inc()
 	if failed {
-		e.errors.Inc()
+		rt.errors.Inc()
 	}
-	e.latency.Observe(float64(d) / float64(time.Millisecond))
-}
-
-type endpointSnapshot struct {
-	name          string
-	count, errors int64
-	p50, p99      float64 // milliseconds, estimated from the histogram
-}
-
-// snapshot returns per-endpoint statistics sorted by endpoint name, so the
-// rendered output is deterministic for a given traffic history. Quantiles
-// are bucket-interpolated estimates over the whole uptime (the ring the
-// old implementation kept windowed them to recent traffic; the full
-// histogram is also in the registry for consumers that want the shape).
-func (m *metrics) snapshot() []endpointSnapshot {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	series := make([]*endpointSeries, len(names))
-	for i, name := range names {
-		series[i] = m.endpoints[name]
-	}
-	m.mu.Unlock()
-
-	out := make([]endpointSnapshot, 0, len(names))
-	for i, name := range names {
-		e := series[i]
-		out = append(out, endpointSnapshot{
-			name:  name,
-			count: e.count.Value(), errors: e.errors.Value(),
-			p50: e.latency.Quantile(0.50),
-			p99: e.latency.Quantile(0.99),
-		})
-	}
-	return out
+	rt.latency.Observe(float64(d) / float64(time.Millisecond))
 }

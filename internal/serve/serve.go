@@ -32,6 +32,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"repro"
@@ -77,8 +79,10 @@ type Server struct {
 	eng *repro.Engine
 	adm *admission
 	reg *obs.Registry
-	met *metrics
 	mux *http.ServeMux
+	// routes are the endpoints' request series, sorted by name once New
+	// has built the mux; read-only afterwards.
+	routes []*route
 }
 
 // New builds a Server; its Handler serves the endpoints above.
@@ -88,7 +92,6 @@ func New(cfg Config) *Server {
 		cfg: cfg,
 		adm: newAdmission(cfg.MaxSims, cfg.PerClient),
 		reg: reg,
-		met: newMetrics(reg),
 	}
 	s.eng = &repro.Engine{
 		Workers:  cfg.Workers,
@@ -103,6 +106,7 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/aggregate", s.endpoint("aggregate", s.handleAggregate))
 	s.mux.Handle("GET /v1/stats", s.endpoint("stats", s.handleStats))
 	s.mux.Handle("GET /metrics", s.endpoint("metrics", s.handleMetrics))
+	slices.SortFunc(s.routes, func(a, b *route) int { return strings.Compare(a.name, b.name) })
 	if cfg.Pprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -193,22 +197,25 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// endpoint wraps a handler with per-client admission and request metrics.
-// Handlers write their own responses and return a non-nil error only to
-// count the request as failed.
+// endpoint wraps a handler with per-client admission and request metrics,
+// registering the endpoint's request series. Handlers write their own
+// responses and return a non-nil error only to count the request as
+// failed.
 func (s *Server) endpoint(name string, h func(http.ResponseWriter, *http.Request) error) http.Handler {
+	rt := newRoute(s.reg, name)
+	s.routes = append(s.routes, rt)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		client := clientID(r)
 		if !s.adm.enterClient(client) {
-			s.met.observe(name, time.Since(start), true)
+			rt.observe(time.Since(start), true)
 			writeError(w, http.StatusTooManyRequests,
 				fmt.Errorf("client %q exceeds the per-client concurrency limit (%d)", client, s.cfg.PerClient))
 			return
 		}
 		err := h(w, r)
 		s.adm.leaveClient(client)
-		s.met.observe(name, time.Since(start), err != nil)
+		rt.observe(time.Since(start), err != nil)
 	})
 }
 
@@ -552,10 +559,15 @@ func (s *Server) statsSnapshot() statsWire {
 		}
 		out.Store = sw
 	}
-	for _, e := range s.met.snapshot() {
-		out.Endpoints = append(out.Endpoints, endpointWire{
-			Name: e.name, Count: e.count, Errors: e.errors, P50MS: e.p50, P99MS: e.p99,
-		})
+	// Quantiles are bucket-interpolated estimates over the whole uptime;
+	// the full histograms are in Metrics.
+	for _, rt := range s.routes {
+		if n := rt.count.Value(); n > 0 {
+			out.Endpoints = append(out.Endpoints, endpointWire{
+				Name: rt.name, Count: n, Errors: rt.errors.Value(),
+				P50MS: rt.latency.Quantile(0.50), P99MS: rt.latency.Quantile(0.99),
+			})
+		}
 	}
 	out.Metrics = s.reg.Snapshot()
 	return out

@@ -579,6 +579,8 @@ func TestStatsAndMetrics(t *testing.T) {
 		`contend_requests_total{endpoint="sweep"} 2`,
 		`contend_request_latency_ms_count{endpoint="sweep"} 2`,
 		`contend_request_latency_ms_bucket{endpoint="sweep",le="+Inf"} 2`,
+		// Every route's series exists from startup, requested or not.
+		`contend_requests_total{endpoint="run"} 0`,
 		// Engine, kernel, pool, phy, and runtime families from the observer.
 		`contend_engine_cells_total{outcome="simulated"} 4`,
 		`contend_engine_cells_total{outcome="replayed"} 4`,

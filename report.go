@@ -4,7 +4,7 @@ package repro
 // sinks ship: CSVSink (one row per scenario, stable column order) and
 // JSONLSink (one JSON object per line, metrics as an ordered array so output
 // is byte-deterministic). The paper's ASCII figure tables are rendered by
-// internal/experiments, which converts reports into harness series.
+// internal/experiments, whose figure points carry each row's PointSummary.
 
 import (
 	"encoding/csv"
