@@ -31,6 +31,10 @@ import (
 	"repro/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so one slow client cannot hold a connection open forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -96,9 +100,10 @@ func run() error {
 	defer cancelBase()
 
 	hs := &http.Server{
-		Addr:        *addr,
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 	}
 
 	errc := make(chan error, 1)

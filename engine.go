@@ -51,8 +51,10 @@ func WiFi() Model { return wifiModel{} }
 // contention windows instead of globally aligned ones — the MAC's window
 // semantics priced in the abstract currency. It exists for the alignment
 // ablation DESIGN.md documents; the paper's analysis assumes aligned
-// windows, which Abstract implements. Tree splitting has no windows, so
-// this model does not run it.
+// windows, which Abstract implements. For a batch the two coincide (every
+// station walks the same schedule from slot 0), so it runs Abstract's
+// kernel on its own random stream. Tree splitting has no windows, so this
+// model does not run it.
 func AbstractUnaligned() Model { return abstractModel{unaligned: true} }
 
 // errUnsupported formats the model × workload incompatibility error.
@@ -63,8 +65,8 @@ func errUnsupported(m Model, w Workload) error {
 
 // --- Abstract slotted model -------------------------------------------------
 
-// abstractModel is the abstract slotted model; unaligned selects
-// per-station window boundaries (the alignment ablation).
+// abstractModel is the abstract slotted model; unaligned names the
+// per-station-window variant of the alignment ablation.
 type abstractModel struct{ unaligned bool }
 
 func (m abstractModel) Name() string {
@@ -83,11 +85,11 @@ func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, Si
 		if err != nil {
 			return Result{}, SimStats{}, err
 		}
+		// Both alignments run the same kernel (see package slotted);
+		// they differ in their RNG stream label.
 		g := o.stream(fmt.Sprintf("%s|%s|n=%d", m.Name(), s.Algorithm, s.N))
-		if m.unaligned {
-			res = slotted.RunBatchUnaligned(s.N, f, g)
-		} else {
-			res = slotted.RunBatch(s.N, f, g)
+		if res, err = slotted.RunBatch(s.N, f, g); err != nil {
+			return Result{}, SimStats{}, err
 		}
 	case TreeWorkload:
 		if m.unaligned {

@@ -172,7 +172,11 @@ func TestTableIIGrowthShapes(t *testing.T) {
 			vals := make([]float64, trials)
 			for tr := 0; tr < trials; tr++ {
 				g := rng.New(uint64(8100 + tr)).Derive(name + "-" + string(rune(n)))
-				vals[tr] = float64(slotted.RunBatch(n, f, g).CWSlots)
+				res, err := slotted.RunBatch(n, f, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals[tr] = float64(res.CWSlots)
 			}
 			med[i] = medianF(vals)
 		}
@@ -201,7 +205,11 @@ func TestTableIIICollisionShapes(t *testing.T) {
 			vals := make([]float64, trials)
 			for tr := 0; tr < trials; tr++ {
 				g := rng.New(uint64(9100 + tr)).Derive(name + "-" + string(rune(n)))
-				vals[tr] = float64(slotted.RunBatch(n, f, g).Collisions)
+				res, err := slotted.RunBatch(n, f, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals[tr] = float64(res.Collisions)
 			}
 			out[i] = medianF(vals)
 		}

@@ -68,7 +68,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 	sched, medium := m.sched, m.medium
 	// The contention phase is batch-shaped (all probe-round events have
 	// fired by then), so the idle-slot fast-forward applies.
-	m.allowSlotSkip = !disableSlotSkip
+	m.allowSlotSkip = true
 
 	positions := cfg.positions(n)
 	nodes := make([]*phy.Node, n)

@@ -63,7 +63,7 @@ func TestBatchResultsPinned(t *testing.T) {
 func TestBatchDoesNotCollectLatencies(t *testing.T) {
 	cfg := DefaultConfig()
 	m := newSim(cfg, phy.StationGrid(20), backoff.NewBEB, rng.New(5), nil)
-	m.allowSlotSkip = !disableSlotSkip
+	m.allowSlotSkip = true
 	for _, s := range m.sts {
 		s.begin()
 	}
@@ -76,6 +76,25 @@ func TestBatchDoesNotCollectLatencies(t *testing.T) {
 	if m.latencies != nil {
 		t.Fatalf("batch run collected %d latencies; collectLatencies must stay off", len(m.latencies))
 	}
+}
+
+// runWithoutSlotSkip is RunBatch with the idle-slot fast-forward left off:
+// the slow side of TestSlotSkipEquivalence.
+func runWithoutSlotSkip(t *testing.T, cfg Config, n int, f backoff.Factory, g *rng.Source) Result {
+	t.Helper()
+	m := newSim(cfg, cfg.positions(n), f, g, nil)
+	m.allowSlotSkip = false
+	for _, s := range m.sts {
+		s.begin()
+	}
+	fired, drained := m.sched.Run(cfg.maxEvents())
+	if !drained {
+		t.Fatal("event budget exhausted")
+	}
+	if m.finished != n {
+		t.Fatalf("only %d of %d stations finished", m.finished, n)
+	}
+	return m.collect(fired)
 }
 
 // TestSlotSkipEquivalence: the idle-slot fast-forward's contract is that
@@ -96,9 +115,7 @@ func TestSlotSkipEquivalence(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				fast := RunBatch(cfg, n, fc.f, rng.New(seed), nil)
 
-				disableSlotSkip = true
-				slow := RunBatch(cfg, n, fc.f, rng.New(seed), nil)
-				disableSlotSkip = false
+				slow := runWithoutSlotSkip(t, cfg, n, fc.f, rng.New(seed))
 
 				// Kernel is the work profile, not the result: the
 				// fast-forward exists precisely to change it (fewer events

@@ -141,10 +141,6 @@ type sim struct {
 	skipPhases []event.Time
 }
 
-// disableSlotSkip turns the fast-forward off for equivalence tests; the
-// optimization's contract is that results are bit-identical either way.
-var disableSlotSkip = false
-
 // trySkipSlots is the idle-slot fast-forward: when the channel is idle and
 // every armed event in the kernel is a backoff slot timer, the simulation
 // is a pure countdown until the smallest counter reaches zero — no RNG
@@ -270,7 +266,7 @@ func RunBatch(cfg Config, n int, f backoff.Factory, g *rng.Source, tracer Tracer
 		panic("mac: RunBatch needs n >= 1")
 	}
 	m := newSim(cfg, cfg.positions(n), f, g, tracer)
-	m.allowSlotSkip = !disableSlotSkip
+	m.allowSlotSkip = true
 	for _, s := range m.sts {
 		s.begin()
 	}

@@ -696,3 +696,36 @@ func TestUncachedServer(t *testing.T) {
 		t.Fatalf("uncached stats should omit the store section: %s", body)
 	}
 }
+
+// TestNoProgressCellIsAnError: an abstract cell whose schedule can never
+// resolve its batch (FIXED:1 at n=2 collides in every window) streams an
+// error line in either window alignment, instead of crashing the process
+// or spinning forever, and the server then answers a normal request.
+func TestNoProgressCellIsAnError(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for _, model := range []string{"abstract", "abstract-unaligned"} {
+		req := sweepRequest{
+			Scenarios: []repro.ScenarioSpec{{Model: model, Algorithm: "FIXED:1", N: 2}},
+			Seeds:     []uint64{1},
+		}
+		resp, body := postJSON(t, hs.URL+"/v1/sweep", "a", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", model, resp.StatusCode, body)
+		}
+		var line struct {
+			Error  string          `json:"error"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(body, &line); err != nil {
+			t.Fatalf("%s: %v in %s", model, err, body)
+		}
+		if !strings.Contains(line.Error, "no progress") || line.Result != nil {
+			t.Fatalf("%s: want a no-progress error line, got %s", model, body)
+		}
+	}
+	req := sweepRequest{Scenarios: testGrid()[:1], Seeds: []uint64{1}}
+	resp, body := postJSON(t, hs.URL+"/v1/sweep", "a", req)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"result"`)) {
+		t.Fatalf("server did not recover: HTTP %d: %s", resp.StatusCode, body)
+	}
+}

